@@ -51,10 +51,20 @@ class SnapshotError : public std::runtime_error {
 /// durability call sites keep their historical spelling.
 using common::codec::crc64;
 
-/// Serializing archive: appends fields to an owned byte vector.
+/// Serializing archive: appends fields to a caller's byte vector, behind
+/// whatever it already holds. The count-only form (`Writer(kCountOnly)`)
+/// runs the same methods over the same traversal and stores nothing;
+/// size() then says how many bytes a writing pass appends. snapshot()
+/// sizes its one image allocation that way, so the size comes from the
+/// field list itself rather than from a formula kept beside it.
 class Writer {
  public:
   static constexpr bool kLoading = false;
+  struct CountOnly {};
+  static constexpr CountOnly kCountOnly{};
+
+  explicit Writer(std::vector<std::byte>& out) noexcept : out_(&out) {}
+  explicit Writer(CountOnly /*tag*/) noexcept {}
 
   void u32(const std::uint32_t& v) { put(v); }
   void u64(const std::uint64_t& v) { put(v); }
@@ -88,12 +98,8 @@ class Writer {
     throw SnapshotError(std::string("snapshot write: ") + what);
   }
 
-  [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
-    return buf_;
-  }
-  [[nodiscard]] std::vector<std::byte> take() noexcept {
-    return std::move(buf_);
-  }
+  /// Bytes appended so far (count-only: bytes a writing pass appends).
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
   template <typename T>
@@ -102,9 +108,11 @@ class Writer {
     append(&v, sizeof v);
   }
   void append(const void* p, std::size_t n) {
-    common::codec::append(buf_, p, n);
+    size_ += n;
+    if (out_ != nullptr) common::codec::append(*out_, p, n);
   }
-  std::vector<std::byte> buf_;
+  std::vector<std::byte>* out_ = nullptr;  // null in count-only mode
+  std::size_t size_ = 0;
 };
 
 /// Deserializing archive: consumes fields from a bounds-checked cursor

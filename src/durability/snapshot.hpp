@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -79,22 +78,25 @@ template <typename T>
   if (version < kMinSupportedVersion || version > kFormatVersion) {
     throw SnapshotError("snapshot: unsupported format version requested");
   }
-  Writer w;
   // serialize_state is a read-only traversal on the save path; the
   // non-const signature exists because the identical field list mutates
-  // on load.
-  const_cast<T&>(obj).serialize_state(w, version);
-  std::vector<std::byte> payload = w.take();
+  // on load. The count pass sizes the image, so it is allocated once and
+  // the payload is written and checksummed in place behind the header.
+  T& src = const_cast<T&>(obj);
+  Writer counter(Writer::kCountOnly);
+  src.serialize_state(counter, version);
+  std::vector<std::byte> image;
+  image.reserve(kHeaderSize + counter.size());
+  image.resize(kHeaderSize);
+  Writer w(image);
+  src.serialize_state(w, version);
 
-  std::vector<std::byte> image(kHeaderSize + payload.size());
+  const std::size_t payload_size = w.size();
   detail::put_le(image, 0, kMagic);
   detail::put_le(image, 8, version);
   detail::put_le(image, 12, T::snapshot_tag());
-  detail::put_le(image, 16, static_cast<std::uint64_t>(payload.size()));
-  detail::put_le(image, 24, crc64(payload.data(), payload.size()));
-  if (!payload.empty()) {
-    std::memcpy(image.data() + kHeaderSize, payload.data(), payload.size());
-  }
+  detail::put_le(image, 16, static_cast<std::uint64_t>(payload_size));
+  detail::put_le(image, 24, crc64(image.data() + kHeaderSize, payload_size));
   return image;
 }
 

@@ -229,8 +229,9 @@ class SnapshotStore {
       const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
+        const int e = errno;
         ::close(fd);
-        fail("read", n < 0 ? std::strerror(errno) : "unexpected EOF");
+        fail("read", n < 0 ? std::strerror(e) : "unexpected EOF");
       }
       got += static_cast<std::size_t>(n);
     }

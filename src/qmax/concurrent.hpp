@@ -339,9 +339,11 @@ class ConcurrentQMax {
   /// Snapshot hook. Saving first drains every in-flight buffer into the
   /// core — the quiesced snapshot: buffered items are never lost to an
   /// image, and the image itself is just (Ψ floor, core, aggregate
-  /// accounting). Loading folds the saved aggregates into base counters
-  /// and clears any live slot state, so a restored instance continues
-  /// exact accounting from the checkpoint cut.
+  /// accounting). snapshot() saves twice, counting then writing: the
+  /// count pass drains, so both passes see the same state. Loading folds
+  /// the saved aggregates into base counters and clears any live slot
+  /// state, so a restored instance continues exact accounting from the
+  /// checkpoint cut.
   template <typename Archive>
   void serialize_state(Archive& ar, std::uint32_t version) {
     if constexpr (!Archive::kLoading) drain_all();

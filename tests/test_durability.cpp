@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -20,6 +21,7 @@
 
 #include "cache/lrfu_qmax.hpp"
 #include "cache/lrfu_qmax_deamortized.hpp"
+#include "crc64_reference.hpp"
 #include "durability/snapshot.hpp"
 #include "qmax/amortized_qmax.hpp"
 #include "qmax/concurrent.hpp"
@@ -93,6 +95,31 @@ struct ScopedDir {
   std::filesystem::path path;
 };
 
+/// Pins the bytes snapshot() builds in its one buffer: a second snapshot
+/// taken right away is identical (ConcurrentQMax drains on the count
+/// pass, so neither the write pass nor a later save finds more to drain),
+/// the payload is exactly what a plain Writer pass over `src` appends,
+/// and the header declares that payload's size and bytewise CRC-64.
+template <typename R>
+void expect_image_bytes_pinned(R& src, const std::vector<std::byte>& image) {
+  EXPECT_EQ(durability::snapshot(src), image)
+      << "a second snapshot differs from the first";
+
+  std::vector<std::byte> payload;
+  durability::Writer w(payload);
+  src.serialize_state(w, durability::kFormatVersion);
+  ASSERT_EQ(image.size(), durability::kHeaderSize + payload.size());
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                         image.begin() + durability::kHeaderSize))
+      << "image payload differs from a plain Writer pass";
+  std::uint64_t declared = 0;
+  std::uint64_t crc = 0;
+  std::memcpy(&declared, image.data() + 16, sizeof declared);
+  std::memcpy(&crc, image.data() + 24, sizeof crc);
+  EXPECT_EQ(declared, payload.size());
+  EXPECT_EQ(crc, crcref::crc64_bytewise(payload.data(), payload.size()));
+}
+
 /// The core contract: golden runs uninterrupted; src checkpoints at kCut
 /// and keeps going; restored rehydrates from the image and replays only
 /// the tail. All three must agree bit-for-bit.
@@ -104,6 +131,7 @@ void expect_restore_equals_fresh(Make make, Drive drive, Print print) {
   auto src = make();
   drive(src, 0, kCut);
   const std::vector<std::byte> image = durability::snapshot(src);
+  expect_image_bytes_pinned(src, image);
 
   auto restored = make();
   durability::restore(restored, image);
@@ -446,6 +474,43 @@ TEST(SnapshotStore, WarmRestartFallsBackPastDamage) {
   QMax<> golden(64, 0.25);
   drive_reservoir(golden, 0, kItems);
   EXPECT_EQ(fingerprint(revived), fingerprint(golden));
+}
+
+TEST(SnapshotStore, UnreadableNewestEpochFallsBack) {
+  ScopedDir dir;
+  durability::SnapshotStore store(dir.path, "res", 4);
+  QMax<> r(64, 0.25);
+  drive_reservoir(r, 0, kCut);
+  ASSERT_EQ(durability::checkpoint(store, r), 0u);
+
+  // A directory squats on epoch 1's file name: open(2) and fstat(2)
+  // succeed, read(2) fails with EISDIR. The file inside keeps the
+  // directory's st_size above zero on every filesystem, so load_epoch
+  // gets as far as read().
+  std::filesystem::create_directory(store.epoch_path(1));
+  std::ofstream(store.epoch_path(1) / "squatter") << "x";
+  ASSERT_EQ(store.epochs(), (std::vector<std::uint64_t>{0, 1}));
+
+  std::vector<std::byte> image;
+  try {
+    (void)store.load_epoch(1, image);
+    ADD_FAILURE() << "load_epoch read a directory as an image";
+  } catch (const durability::SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("snapshot store read"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(EISDIR)), std::string::npos) << what;
+  }
+
+  const auto rejections_before =
+      durability::store_counters().restore_rejections.load();
+  QMax<> revived(64, 0.25);
+  const auto epoch = durability::warm_restart(store, revived);
+  ASSERT_TRUE(epoch.has_value());
+  EXPECT_EQ(*epoch, 0u) << "unreadable epoch 1 must be skipped";
+  EXPECT_EQ(durability::store_counters().restore_rejections.load() -
+                rejections_before,
+            1u);
+  EXPECT_EQ(fingerprint(revived), fingerprint(r));
 }
 
 TEST(SnapshotStore, WarmRestartWithNothingDurableResetsFresh) {
