@@ -38,7 +38,7 @@ def is_absolute_rate(key):
 # Absolute floors on same-run ratios in the NEW snapshot, independent of
 # the baseline: batched ingestion must never lose to the scalar path on
 # the headline table, even in the degenerate small-stream/large-q regime
-# where the Ψ screen stays off (a 3% tolerance absorbs quiet-host run
+# where admissions dominate (a 3% tolerance absorbs quiet-host run
 # noise). Strict when the snapshot was recorded like the baseline
 # (same host, same scale) — i.e. when re-baselining — and warn-only on
 # shared CI runners, whose single-rep timings swing well past 3%.

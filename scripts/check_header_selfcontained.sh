@@ -4,20 +4,15 @@
 # hidden ordering dependencies). Compiles each header standalone with
 # -fsyntax-only; any failure lists the offending header.
 #
-# Usage: scripts/check_header_selfcontained.sh [compiler]
+# Headers are checked in the dialect the build uses (CMakeLists.txt pins
+# C++20).
 #
-# QMAX_HDR_EXTRA_FLAGS: extra compile flags, whitespace-separated (the CI
-# simd matrix re-runs the check under -mavx2 / -mavx512f so the per-tier
-# kernels in qmax/batch.hpp are compiled, not just parsed).
+# Usage: scripts/check_header_selfcontained.sh [compiler]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CXX="${1:-${CXX:-c++}}"
-FLAGS=(-std=c++23 -fsyntax-only -Wall -Wextra -I src)
-if [[ -n "${QMAX_HDR_EXTRA_FLAGS:-}" ]]; then
-  read -r -a extra <<<"$QMAX_HDR_EXTRA_FLAGS"
-  FLAGS+=("${extra[@]}")
-fi
+FLAGS=(-std=c++20 -fsyntax-only -Wall -Wextra -I src)
 
 fail=0
 count=0

@@ -22,9 +22,13 @@
 //
 // Versioning: kFormatVersion is bumped whenever a composition's field
 // list changes; serialize_state receives the image's version and carries
-// a migration shim per change (v1 → v2: the ReservoirCore ScreenGovernor
-// block was added; loading a v1 image leaves the governor at reset
-// defaults). snapshot() can write any supported version, which is how the
+// a migration shim per change:
+//   v1 → v2: ReservoirCore appended a 25-byte adaptive screen-governor
+//            block after the stream position.
+//   v2 → v3: the governor was retired and its block left the image;
+//            loading a v2 image reads and discards it (writing one emits
+//            reset defaults), so every v1, v2 and v3 image restores.
+// snapshot() can write any supported version, which is how the
 // cross-version tests mint old images without archived fixtures.
 #pragma once
 
@@ -39,7 +43,7 @@ namespace qmax::durability {
 
 /// "QMAXSNAP" read as a little-endian u64.
 inline constexpr std::uint64_t kMagic = 0x50414E5358414D51ull;
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kMinSupportedVersion = 1;
 inline constexpr std::size_t kHeaderSize = 32;
 

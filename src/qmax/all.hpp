@@ -7,7 +7,7 @@
 
 // Core reservoirs (the paper's contribution).
 #include "qmax/amortized_qmax.hpp"   // O(1) amortized variant
-#include "qmax/batch.hpp"            // batched-ingestion prefilter machinery
+#include "qmax/batch.hpp"            // batched-ingestion helpers
 #include "qmax/concepts.hpp"         // the Reservoir concept
 #include "qmax/concurrent.hpp"       // lock-free multi-writer reservoir
 #include "qmax/core.hpp"             // policy-based ReservoirCore engine
@@ -17,7 +17,6 @@
 #include "qmax/qmax.hpp"             // Algorithm 1: deamortized q-MAX
 #include "qmax/qmin.hpp"             // minimum-oriented adapter
 #include "qmax/sampled_qmax.hpp"     // sampled-pivot maintenance variant
-#include "qmax/simd.hpp"             // runtime SIMD tier dispatch
 #include "qmax/sharded.hpp"          // sharded reservoirs + global-Ψ broadcast
 #include "qmax/sliding.hpp"          // Algorithms 3/4 + Theorem 7 windows
 #include "qmax/small_domain_window.hpp"  // §4.3.2 small-domain variant

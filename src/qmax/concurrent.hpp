@@ -14,13 +14,13 @@
 //        ⋮             ⋮        ├──► pending stack ──► maintenance owner
 //     writer W ──► TLS buffer ──┘   (CAS buffer-swap)   │ (flag-guarded)
 //          ▲                                            ▼
-//          │ screen: val > Ψ (relaxed load,      ReservoirCore policies
-//          │ SIMD lanes + ScreenGovernor)        (exact or sampled)
+//          │ screen: val > Ψ                     ReservoirCore policies
+//          │ (relaxed load)                      (exact or sampled)
 //          └───────── global Ψ ◄── CAS-max publish ─────┘
 //
 // Ingest path (lock-free). A writer's add()/add_batch() screens each item
-// against a relaxed-atomic global Ψ — the same SIMD lane screen and
-// adaptive ScreenGovernor the single-writer batch path uses — and appends
+// against a relaxed-atomic global Ψ — one comparison per item, like the
+// single-writer batch path — and appends
 // survivors to a thread-local buffer. A full buffer is handed off with
 // one CAS push onto a Treiber stack of pending buffers (no mutex, no
 // pop-side ABA: the consumer takes the whole stack with a single
@@ -63,7 +63,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -74,7 +73,6 @@
 #include <vector>
 
 #include "common/validate.hpp"
-#include "qmax/batch.hpp"
 #include "qmax/core.hpp"
 #include "qmax/entry.hpp"
 #include "qmax/qmax.hpp"
@@ -179,8 +177,8 @@ class ConcurrentQMax {
   /// rejected there was provably outside the top q anyway).
   bool add(Id id, Value val) { return add_to(local_slot(), id, val); }
 
-  /// Report `n` items from any thread; SIMD lane screen against the
-  /// published Ψ under ScreenGovernor control, exactly like the
+  /// Report `n` items from any thread; each is screened against one
+  /// snapshot of the published Ψ, one comparison per item, like the
   /// single-writer batch path. Returns the number staged.
   std::size_t add_batch(const Id* ids, const Value* vals, std::size_t n) {
     return batch_to(local_slot(), ids, vals, n);
@@ -252,7 +250,6 @@ class ConcurrentQMax {
           s->items.clear();
         }
         w->seen = w->screened = w->buffered = w->handoffs = w->stalls = 0;
-        w->gov.reset();
       }
     }
     core_.reset();
@@ -380,7 +377,6 @@ class ConcurrentQMax {
       for (auto& w : slots_) {
         if (w->cur != nullptr) w->cur->items.clear();
         w->seen = w->screened = w->buffered = w->handoffs = w->stalls = 0;
-        w->gov.reset();
       }
     }
   }
@@ -402,7 +398,6 @@ class ConcurrentQMax {
   /// the maintenance owner.
   struct alignas(telemetry::kCacheLineBytes) WriterSlot {
     Buffer* cur = nullptr;        // buffer currently being filled
-    batch::ScreenGovernor gov;    // adaptive lane-screen mode
     std::uint64_t seen = 0;       // items reported through this slot
     std::uint64_t screened = 0;   // rejected by the Ψ screen
     std::uint64_t buffered = 0;   // items staged into buffers
@@ -433,27 +428,7 @@ class ConcurrentQMax {
     const Value psi = global_psi_.load(std::memory_order_relaxed);
     std::size_t staged = 0;
     std::size_t screened = 0;
-    std::size_t j = 0;
-    if (w.gov.screen_enabled()) {
-      const batch::SimdTier tier = batch::simd_active_tier();
-      for (; j + batch::kScreenLane <= n; j += batch::kScreenLane) {
-        if (!batch::lane_any_above(vals + j, psi, tier)) {
-          screened += batch::kScreenLane;
-          continue;
-        }
-        unsigned mask = batch::lane_mask_above(vals + j, psi, tier);
-        screened += batch::kScreenLane -
-                    static_cast<std::size_t>(std::popcount(mask));
-        while (mask != 0) {
-          const std::size_t k =
-              j + static_cast<std::size_t>(std::countr_zero(mask));
-          mask &= mask - 1;
-          stage(w, ids[k], vals[k]);
-          ++staged;
-        }
-      }
-    }
-    for (; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       if (!(vals[j] > psi)) {
         ++screened;
         continue;
@@ -462,7 +437,6 @@ class ConcurrentQMax {
       ++staged;
     }
     w.screened += screened;
-    w.gov.observe(n, screened);
     return staged;
   }
 
@@ -480,7 +454,6 @@ class ConcurrentQMax {
       ++staged;
     }
     w.screened += screened;
-    w.gov.observe(items.size(), screened);
     return staged;
   }
 

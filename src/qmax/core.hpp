@@ -24,11 +24,11 @@
 //     amortized O(1/γ)).
 //
 // The core owns the admission gate (Ψ test + fault-injection site), the
-// processed/admitted accounting, the batched-ingestion fast path (the
-// SIMD lane screen of batch.hpp), the query partition, and reset(). The
-// maintenance policies own the slot array and Ψ itself. ParityEngine —
-// the Algorithm 1 skeleton — is additionally shared with the deamortized
-// LRFU cache (src/cache/lrfu_qmax_deamortized.hpp), which runs the same
+// processed/admitted accounting, the batched ingestion loop, the query
+// partition, and reset(). The maintenance policies own the slot array and
+// Ψ itself. ParityEngine — the Algorithm 1 skeleton — is additionally
+// shared with the deamortized LRFU cache
+// (src/cache/lrfu_qmax_deamortized.hpp), which runs the same
 // parity/selection scheme over claim slots with lazy reconciliation
 // instead of an eviction walk.
 //
@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -342,7 +341,6 @@ struct DeamortizedMaintenance {
     telemetry::Counter evicted_items;      // items evicted across batches
     telemetry::Counter batch_calls;        // add_batch invocations
     telemetry::Counter prefilter_rejected; // items screened out by the Ψ prefilter
-    telemetry::Counter screen_mode_switches; // adaptive screen on/off flips
     telemetry::Histogram steps_per_add;    // selection ops per admitted item
     telemetry::Histogram evict_batch_size; // live items per batch eviction
     telemetry::Histogram batch_survivors;  // prefilter survivors per add_batch
@@ -354,7 +352,6 @@ struct DeamortizedMaintenance {
       fn("evicted_items", evicted_items);
       fn("batch_calls", batch_calls);
       fn("prefilter_rejected", prefilter_rejected);
-      fn("screen_mode_switches", screen_mode_switches);
       fn("steps_per_add", steps_per_add);
       fn("evict_batch_size", evict_batch_size);
       fn("batch_survivors", batch_survivors);
@@ -365,7 +362,6 @@ struct DeamortizedMaintenance {
       evicted_items.reset();
       batch_calls.reset();
       prefilter_rejected.reset();
-      screen_mode_switches.reset();
       steps_per_add.reset();
       evict_batch_size.reset();
       batch_survivors.reset();
@@ -527,7 +523,6 @@ struct AmortizedMaintenance {
     telemetry::Counter evicted_items;
     telemetry::Counter batch_calls;         // add_batch invocations
     telemetry::Counter prefilter_rejected;  // items screened out by Ψ
-    telemetry::Counter screen_mode_switches; // adaptive screen on/off flips
     telemetry::Histogram evict_batch_size;  // items dropped per sweep
     telemetry::Histogram batch_survivors;   // prefilter survivors per batch
 
@@ -537,7 +532,6 @@ struct AmortizedMaintenance {
       fn("evicted_items", evicted_items);
       fn("batch_calls", batch_calls);
       fn("prefilter_rejected", prefilter_rejected);
-      fn("screen_mode_switches", screen_mode_switches);
       fn("evict_batch_size", evict_batch_size);
       fn("batch_survivors", batch_survivors);
     }
@@ -546,7 +540,6 @@ struct AmortizedMaintenance {
       evicted_items.reset();
       batch_calls.reset();
       prefilter_rejected.reset();
-      screen_mode_switches.reset();
       evict_batch_size.reset();
       batch_survivors.reset();
     }
@@ -702,7 +695,6 @@ struct SampledMaintenance {
     telemetry::Counter evicted_items;
     telemetry::Counter batch_calls;         // add_batch invocations
     telemetry::Counter prefilter_rejected;  // items screened out by Ψ
-    telemetry::Counter screen_mode_switches; // adaptive screen on/off flips
     telemetry::Histogram evict_batch_size;  // items dropped per sweep
     telemetry::Histogram batch_survivors;   // prefilter survivors per batch
     telemetry::Histogram sampled_kept;      // kept count per sampled attempt
@@ -715,7 +707,6 @@ struct SampledMaintenance {
       fn("evicted_items", evicted_items);
       fn("batch_calls", batch_calls);
       fn("prefilter_rejected", prefilter_rejected);
-      fn("screen_mode_switches", screen_mode_switches);
       fn("evict_batch_size", evict_batch_size);
       fn("batch_survivors", batch_survivors);
       fn("sampled_kept", sampled_kept);
@@ -727,7 +718,6 @@ struct SampledMaintenance {
       evicted_items.reset();
       batch_calls.reset();
       prefilter_rejected.reset();
-      screen_mode_switches.reset();
       evict_batch_size.reset();
       batch_survivors.reset();
       sampled_kept.reset();
@@ -973,15 +963,13 @@ class ReservoirCore {
     // Working buffers are sized up front so neither the first query() nor
     // the first add_batch() allocates mid-measurement.
     scratch_.reserve(maint_.capacity());
-    batch_idx_.resize(batch::kPrefilterBlock);
-    if constexpr (WindowPolicy::kIdentity) {
-      // Split-layout scratch: the entry-span overload deinterleaves
-      // values here so the prefilter runs SIMD over contiguous doubles.
-      batch_vals_.resize(batch::kPrefilterBlock);
-    } else {
-      batch_ids_.resize(batch::kPrefilterBlock);
-      batch_keys_.resize(batch::kPrefilterBlock);
-    }
+    // Only non-identity windows stage runs here, but the scratch is sized
+    // for every window. Dropping it for identity windows shifted glibc's
+    // heap layout enough that bench/e2e's setup_s (a q = 10^5 QMax rebuilt
+    // in the memory the previous one freed) read about 1.9x slower: the
+    // slot-array fill itself ran slower, with no extra page faults.
+    batch_ids_.resize(batch::kPrefilterBlock);
+    batch_keys_.resize(batch::kPrefilterBlock);
   }
 
   /// Report a stream item. Returns true if it was admitted into the array
@@ -1037,11 +1025,8 @@ class ReservoirCore {
 
   /// add_batch over pre-paired entries (the window variants feed their
   /// merge buffers through this overload). Identity windows only: entry
-  /// values are already in the reservoir's key domain. When the adaptive
-  /// governor has the screen on, each block's values are deinterleaved
-  /// into the contiguous scratch (the gather-free split layout) and the
-  /// SIMD prefilter compacts survivor indices; ids are only read for
-  /// survivors. Scalar mode walks the entries directly.
+  /// values are already in the reservoir's key domain. Same loop as
+  /// add_screened, walking the entries directly.
   std::size_t add_batch(std::span<const EntryT> items)
     requires(WindowPolicy::kIdentity)
   {
@@ -1054,43 +1039,18 @@ class ReservoirCore {
     // Same register-hoisted Ψ as add_screened: reloaded only after an
     // admit, bit-identical decisions, no per-item reload through maint_.
     Value psi = maint_.psi();
-    if (screen_gov_.screen_enabled()) {
-      for (std::size_t base = 0; base < n; base += batch::kPrefilterBlock) {
-        const std::size_t m = std::min(batch::kPrefilterBlock, n - base);
-        std::size_t survivors;
-        {
-          [[maybe_unused]] telemetry::Span prefilter_span(
-              telemetry::Stage::kPrefilter);
-          survivors =
-              batch::prefilter_above(items.data() + base, m, psi,
-                                     batch_idx_.data(), batch_vals_.data());
-        }
-        rejected_in_batch += m - survivors;
-        for (std::size_t s = 0; s < survivors; ++s) {
-          const EntryT& e = items[base + batch_idx_[s]];
-          if (!(e.val > psi)) continue;
-          maint_.admit(e.id, e.val);
-          psi = maint_.psi();
-          ++admitted_in_batch;
-        }
+    for (const EntryT& e : items) {
+      if (!(e.val > psi)) {
+        ++rejected_in_batch;
+        continue;
       }
-    } else {
-      for (const EntryT& e : items) {
-        if (!(e.val > psi)) {
-          ++rejected_in_batch;
-          continue;
-        }
-        maint_.admit(e.id, e.val);
-        psi = maint_.psi();
-        ++admitted_in_batch;
-      }
+      maint_.admit(e.id, e.val);
+      psi = maint_.psi();
+      ++admitted_in_batch;
     }
     admitted_ += admitted_in_batch;
     maint_.tm_.prefilter_rejected.inc(rejected_in_batch);
     maint_.tm_.batch_survivors.record(n - rejected_in_batch);
-    if (screen_gov_.observe(n, rejected_in_batch)) {
-      maint_.tm_.screen_mode_switches.inc();
-    }
     return admitted_in_batch;
   }
 
@@ -1102,9 +1062,9 @@ class ReservoirCore {
   /// global-Ψ broadcast (qmax/sharded.hpp). The caller asserts that at
   /// least q items ≥ `v` exist in the *combined* stream of every
   /// reservoir sharing the broadcast, so rejecting below `v` can never
-  /// lose a global top-q item. Because the scalar gate and the SIMD batch
-  /// prefilter both screen against the live Ψ, one fold tightens every
-  /// subsequent admission test and lane screen. Monotone: a no-op unless
+  /// lose a global top-q item. Because add() and add_batch() both test
+  /// against the live Ψ, one fold tightens every subsequent admission
+  /// test. Monotone: a no-op unless
   /// `v` exceeds the current bound. After a fold, this reservoir alone no
   /// longer answers exact top-q for its *own* substream — only the merged
   /// query across the broadcast group is exact.
@@ -1153,7 +1113,6 @@ class ReservoirCore {
     maint_.reset();
     processed_ = 0;
     admitted_ = 0;
-    screen_gov_.reset();
   }
 
   void set_evict_callback(EvictCallback cb) {
@@ -1180,15 +1139,6 @@ class ReservoirCore {
   [[nodiscard]] const Telemetry& telem() const noexcept { return maint_.tm_; }
   [[nodiscard]] const WindowPolicy& window_policy() const noexcept {
     return window_;
-  }
-  /// Adaptive batch screen: whether the lane screen is currently engaged
-  /// and how many times the governor has flipped it (plain counters,
-  /// available in every build).
-  [[nodiscard]] bool screen_enabled() const noexcept {
-    return screen_gov_.screen_enabled();
-  }
-  [[nodiscard]] std::uint64_t screen_switches() const noexcept {
-    return screen_gov_.switches();
   }
   /// Sampled maintenance only (absent otherwise): accepted pivot
   /// estimates, slack-miss fallbacks to the exact pass, and the resolved
@@ -1224,15 +1174,16 @@ class ReservoirCore {
 
   /// Snapshot hook (durability/snapshot.hpp drives this through a Writer
   /// or Reader archive): configuration guards, the maintenance policy's
-  /// full algorithm state, the stream position, and — from format v2 —
-  /// the adaptive screen governor. The batch scratch buffers are not
-  /// state: they are overwritten from scratch by every batch call.
+  /// full algorithm state, and the stream position. The batch scratch
+  /// buffers are not state: they are overwritten by every batch call.
   ///
-  /// Version compatibility: v1 snapshots predate the ScreenGovernor
-  /// block; loading one leaves the governor at its reset defaults
-  /// (scalar mode, empty window), which is always safe — the governor
-  /// only affects how admissions are screened, never which items are
-  /// admitted.
+  /// Version compatibility: v1 images end after the stream position. v2
+  /// images append a 25-byte block (mode byte, two window counters, a
+  /// switch count) for the adaptive lane-screen governor that v3
+  /// retired; loading a v2 image reads and discards it, and minting one
+  /// writes the governor's reset defaults. The governor only chose how
+  /// rejections were detected, never which items were admitted, so v2
+  /// images restore exactly.
   template <typename Archive>
   void serialize_state(Archive& ar, std::uint32_t version) {
     ar.check_u64(static_cast<std::uint64_t>(q_), "reservoir q");
@@ -1242,69 +1193,40 @@ class ReservoirCore {
     maint_.serialize_state(ar);
     ar.u64(processed_);
     ar.u64(admitted_);
-    if (version >= 2) {
-      screen_gov_.serialize_state(ar);
-    } else {
-      if constexpr (Archive::kLoading) screen_gov_.reset();
+    if (version == 2) {
+      bool screen = false;
+      std::size_t window_items = 0;
+      std::size_t window_rejected = 0;
+      std::uint64_t switches = 0;
+      ar.b(screen);
+      ar.sz(window_items);
+      ar.sz(window_rejected);
+      ar.u64(switches);
     }
   }
 
  private:
   friend struct ::qmax::InvariantAccess;
 
-  /// The identity-domain screened ingestion shared by all maintenance
-  /// policies and both batch entry points: a whole-lane reject test
-  /// against the *live* Ψ skips 16-item runs of rejected items with a few
-  /// packed compares; surviving lanes run the exact scalar admission code
-  /// item by item, so maintenance fires at exactly the scalar points and
-  /// a Ψ raised mid-lane immediately tightens both the item test and the
-  /// next lane's screen. (The screen is conservative the other way too:
-  /// Ψ is monotone, so a lane rejected against the current bound could
-  /// never have produced an admission later in the batch.) The screen
-  /// itself is adaptive: the ScreenGovernor watches the observed
-  /// rejection rate and drops to a plain scalar walk (identical
-  /// admissions, no lane setup) while the rate is too low to pay for the
-  /// vector pass — warmup, admission-heavy streams — re-engaging once
-  /// rejection dominates. The SIMD tier is hoisted once per call.
+  /// The identity-domain batch ingestion shared by all maintenance
+  /// policies and both add_batch(ids, vals, n) forms: one in-order walk
+  /// in which a rejected item costs one comparison against the live Ψ
+  /// and an admitted one runs the exact scalar admission code, so
+  /// maintenance fires at exactly the scalar points and a Ψ raised by an
+  /// admit tightens the test for the very next item.
   std::size_t add_screened(const Id* ids, const Value* vals, std::size_t n) {
     [[maybe_unused]] telemetry::Span trace_span(telemetry::Stage::kAddBatch);
     processed_ += n;
     maint_.tm_.batch_calls.inc();
     std::size_t admitted_in_batch = 0;
     std::size_t screened = 0;
-    std::size_t j = 0;
     // Ψ is hoisted into a register and reloaded only after an admit — the
     // only point it can move mid-batch (single writer; floor folds happen
     // between batches). The compiler cannot hoist it itself: it must
     // assume `vals` may alias the reservoir, forcing a reload per item.
     // Admission decisions are bit-identical to the per-item reload.
     Value psi = maint_.psi();
-    if (screen_gov_.screen_enabled()) {
-      const batch::SimdTier tier = batch::simd_active_tier();
-      for (; j + batch::kScreenLane <= n; j += batch::kScreenLane) {
-        if (!batch::lane_any_above(vals + j, psi, tier)) {
-          screened += batch::kScreenLane;
-          continue;
-        }
-        // Walk only the set bits. The mask is a snapshot, so each
-        // candidate is re-tested against the live Ψ before admission (a Ψ
-        // raised by a mid-lane admit rejects exactly the items scalar
-        // add() would).
-        unsigned mask = batch::lane_mask_above(vals + j, psi, tier);
-        screened += batch::kScreenLane -
-                    static_cast<std::size_t>(std::popcount(mask));
-        while (mask != 0) {
-          const std::size_t k =
-              j + static_cast<std::size_t>(std::countr_zero(mask));
-          mask &= mask - 1;
-          if (!(vals[k] > psi)) continue;
-          maint_.admit(ids[k], vals[k]);
-          psi = maint_.psi();
-          ++admitted_in_batch;
-        }
-      }
-    }
-    for (; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       if (!(vals[j] > psi)) {
         ++screened;
         continue;
@@ -1316,9 +1238,6 @@ class ReservoirCore {
     admitted_ += admitted_in_batch;
     maint_.tm_.prefilter_rejected.inc(screened);
     maint_.tm_.batch_survivors.record(n - screened);
-    if (screen_gov_.observe(n, screened)) {
-      maint_.tm_.screen_mode_switches.inc();
-    }
     return admitted_in_batch;
   }
 
@@ -1327,10 +1246,7 @@ class ReservoirCore {
   MaintenancePolicy maint_;
   std::uint64_t processed_ = 0;
   std::uint64_t admitted_ = 0;
-  batch::ScreenGovernor screen_gov_;      // adaptive lane-screen mode
   mutable std::vector<EntryT> scratch_;   // query gather buffer (reused)
-  std::vector<std::uint32_t> batch_idx_;  // prefilter survivor indices
-  std::vector<Value> batch_vals_;         // identity: split-layout values
   std::vector<Id> batch_ids_;             // non-identity windows: valid-item
   std::vector<Value> batch_keys_;         //   compaction scratch per run
 };

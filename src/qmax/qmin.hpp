@@ -36,8 +36,8 @@ class QMin {
 
   /// Report `n` items at once; equivalent to n in-order add() calls.
   /// Values are negated run-by-run into a fixed scratch buffer, then each
-  /// run rides the wrapped reservoir's Ψ-prefiltered batch path (or its
-  /// scalar add() if the reservoir has no add_batch). Negation is exact on
+  /// run rides the wrapped reservoir's add_batch loop (or its scalar
+  /// add() if the reservoir has no add_batch). Negation is exact on
   /// doubles, so admissions match the scalar path bit for bit. Returns the
   /// number of admitted items.
   std::size_t add_batch(const Id* ids, const Value* vals, std::size_t n) {

@@ -26,9 +26,9 @@
 // each add it folds the published value back into its own admission gate
 // via ReservoirCore::raise_threshold_floor. Because the fold raises the
 // live Ψ the core screens against, one maintenance cycle on any shard
-// tightens both the scalar gate and the SIMD lane prefilter on all
-// shards. The coupling is advisory: a stale read only delays tightening,
-// never admits a wrong rejection, so relaxed ordering suffices.
+// tightens the admission test of add() and add_batch() on all shards.
+// The coupling is advisory: a stale read only delays tightening, never
+// admits a wrong rejection, so relaxed ordering suffices.
 //
 // Merge-on-query exactness. Every global top-q item that landed in shard
 // s is one of shard s's top q admitted items (at most q such items exist
@@ -128,7 +128,7 @@ class ShardedQMax {
   }
 
   /// Report `n` items to shard `s` from its owning thread; rides the
-  /// core's SIMD-screened batch path against the broadcast-tightened Ψ.
+  /// core's batch loop against the broadcast-tightened Ψ.
   std::size_t add_batch(std::size_t s, const Id* ids, const Value* vals,
                         std::size_t n) {
     Shard& sh = *shards_[s];

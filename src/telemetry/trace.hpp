@@ -56,7 +56,6 @@ inline constexpr bool kTraceEnabled = QMAX_TRACE_ENABLED == 1;
 enum class Stage : std::uint8_t {
   kAdd = 0,         // ReservoirCore::add (scalar admission)
   kAddBatch,        // screened/entry batch ingestion
-  kPrefilter,       // SIMD Ψ prefilter over an entry batch
   kMaintenance,     // ParityEngine iteration end / amortized maintain()
   kSampledPivot,    // SampledMaintenance: sample + pivot-partition attempt
   kExactFallback,   // SampledMaintenance: exact pass after a slack miss
@@ -83,7 +82,6 @@ inline constexpr std::size_t kStageCount =
   switch (s) {
     case Stage::kAdd: return "add";
     case Stage::kAddBatch: return "add_batch";
-    case Stage::kPrefilter: return "prefilter";
     case Stage::kMaintenance: return "maintenance";
     case Stage::kSampledPivot: return "sampled_pivot";
     case Stage::kExactFallback: return "exact_fallback";

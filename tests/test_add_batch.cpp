@@ -1,4 +1,4 @@
-// Unit tests for the batched ingestion fast path (add_batch): prefilter
+// Unit tests for the batched ingestion path (add_batch): Ψ-screen
 // edge cases on the core reservoir, and scalar-equivalence on every
 // variant (amortized, sliding, time-sliding, exp-decay). The heavy
 // randomized batch-vs-scalar differential lives in
@@ -14,7 +14,6 @@
 
 #include "common/random.hpp"
 #include "qmax/amortized_qmax.hpp"
-#include "qmax/batch.hpp"
 #include "qmax/concepts.hpp"
 #include "qmax/exp_decay.hpp"
 #include "qmax/qmax.hpp"
@@ -71,21 +70,6 @@ void expect_twin_equal(std::size_t q, double gamma,
   EXPECT_EQ(scalar.admitted(), batched.admitted());
   EXPECT_EQ(scalar.live_count(), batched.live_count());
   EXPECT_EQ(sorted_query(scalar), sorted_query(batched));
-}
-
-TEST(AddBatch, PrefilterAboveCompactsSurvivorIndices) {
-  const double vals[] = {0.1, 0.9, 0.5, 0.9, 0.2};
-  std::uint32_t idx[5];
-  const std::size_t n = qmax::batch::prefilter_above(vals, 5, 0.5, idx);
-  ASSERT_EQ(n, 2u);
-  EXPECT_EQ(idx[0], 1u);
-  EXPECT_EQ(idx[1], 3u);
-  // NaN and the empty sentinel compare false against any bound.
-  const double bad[] = {std::nan(""), qmax::kEmptyValue<double>, 1.0};
-  const std::size_t m = qmax::batch::prefilter_above(
-      bad, 3, std::numeric_limits<double>::lowest(), idx);
-  ASSERT_EQ(m, 1u);
-  EXPECT_EQ(idx[0], 2u);
 }
 
 TEST(AddBatch, EmptyBatchIsANoOp) {
@@ -338,7 +322,7 @@ TEST(AddBatch, TelemetryCountsPrefilterRejections) {
   r.add_batch(low_ids.data(), low.data(), low.size());
   if constexpr (qmax::telemetry::kEnabled) {
     EXPECT_EQ(r.telem().batch_calls.value(), 2u);
-    // All 100 low items are screened out: 6 full lanes + 4 tail items.
+    // All 100 low items are screened out by the Ψ comparison.
     EXPECT_EQ(r.telem().prefilter_rejected.value(), rejected_before + 100);
     EXPECT_EQ(r.telem().batch_survivors.count(), 2u);
   } else {

@@ -676,9 +676,11 @@ TEST(CoreDifferential, ResetEqualsFreshLrfuCaches) {
                             drive_keys);
 }
 
-// State added after PR 4 that reset() must also clear: the sampled
-// policy's RNG stream and pass/fallback counters, the batch screen
-// governor's mode and window, and the externally folded Ψ floor.
+// State added after the ReservoirCore refactor that reset() must also
+// clear: the sampled policy's RNG stream and pass/fallback counters, and
+// the externally folded Ψ floor, here reached through the batch path.
+// (ResetEqualsFreshGovernorAndFloor keeps the name it had while
+// ReservoirCore also carried an adaptive batch-screen governor.)
 
 TEST(CoreDifferential, ResetEqualsFreshSampled) {
   expect_reset_equals_fresh(
@@ -698,8 +700,8 @@ TEST(CoreDifferential, ResetEqualsFreshGovernorAndFloor) {
   expect_reset_equals_fresh(
       [] { return QMax<>(32, 0.25); },
       [](QMax<>& r, const std::vector<double>& v) {
-        // Mid-trace floor folds leave ext_floor_ raised; batch entry
-        // spans flip the screen governor — both must vanish on reset.
+        // A mid-trace floor fold leaves ext_floor_ raised and the batch
+        // path then screens against it; both must vanish on reset.
         r.raise_threshold_floor(0.75);
         Hasher hh;
         std::vector<std::uint64_t> ids(v.size());

@@ -376,7 +376,43 @@ TEST(SnapshotImage, V1ImageLoadsThroughMigrationShim) {
   drive_reservoir(writer, 0, 2'000);
   const auto v1 = durability::snapshot(writer, 1);
   QMax<> restored(64, 0.25);
-  durability::restore(restored, v1);  // governor falls back to defaults
+  durability::restore(restored, v1);
+  drive_reservoir(restored, 2'000, kItems);
+  drive_reservoir(writer, 2'000, kItems);
+  EXPECT_EQ(fingerprint(restored), fingerprint(writer));
+  const auto audit = qmax::check_invariants(restored);
+  EXPECT_TRUE(audit.ok()) << audit.to_string();
+}
+
+TEST(SnapshotImage, V2ImageLoadsThroughMigrationShim) {
+  // A v2 QMax payload ends with the retired screen-governor block: mode
+  // byte, two u64 window counters, u64 switch count. The shim must skip
+  // it whatever it holds, so set a non-default state (screen on, a
+  // half-full window, flips recorded) and re-seal the image.
+  constexpr std::size_t kGovernorBytes = 1 + 3 * 8;
+  QMax<> writer(64, 0.25);
+  drive_reservoir(writer, 0, 2'000);
+  auto v2 = durability::snapshot(writer, 2);
+  const auto v3 = durability::snapshot(writer);
+  ASSERT_EQ(v2.size(), v3.size() + kGovernorBytes);
+
+  std::byte* block = v2.data() + v2.size() - kGovernorBytes;
+  const std::byte defaults[kGovernorBytes] = {};
+  ASSERT_EQ(std::memcmp(block, defaults, kGovernorBytes), 0)
+      << "a minted v2 image carries the governor's reset defaults";
+  const std::uint64_t items = 700;
+  const std::uint64_t rejected = 650;
+  const std::uint64_t switches = 3;
+  block[0] = std::byte{1};
+  std::memcpy(block + 1, &items, sizeof items);
+  std::memcpy(block + 9, &rejected, sizeof rejected);
+  std::memcpy(block + 17, &switches, sizeof switches);
+  const std::uint64_t crc = durability::crc64(
+      v2.data() + durability::kHeaderSize, v2.size() - durability::kHeaderSize);
+  std::memcpy(v2.data() + 24, &crc, sizeof crc);
+
+  QMax<> restored(64, 0.25);
+  durability::restore(restored, v2);
   drive_reservoir(restored, 2'000, kItems);
   drive_reservoir(writer, 2'000, kItems);
   EXPECT_EQ(fingerprint(restored), fingerprint(writer));

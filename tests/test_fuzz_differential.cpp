@@ -15,11 +15,13 @@
 #include "common/random.hpp"
 #include "qmax/amortized_qmax.hpp"
 #include "qmax/qmax.hpp"
+#include "qmax/sampled_qmax.hpp"
 
 namespace {
 
 using qmax::AmortizedQMax;
 using qmax::QMax;
+using qmax::SampledQMax;
 using qmax::common::Xoshiro256;
 
 template <typename R>
@@ -178,6 +180,12 @@ TEST_P(BatchDifferentialFuzz, BatchPathMatchesScalarPath) {
   QMax<> batched(p.q, p.gamma);
   AmortizedQMax<> am_scalar(p.q, p.gamma);
   AmortizedQMax<> am_batched(p.q, p.gamma);
+  // A forced sample size: the auto size stays exact at these q, and the
+  // point is to drive the sampled pivot (and its RNG) through both paths.
+  constexpr std::size_t kSample = 64;
+  SampledQMax<> sa_scalar(p.q, p.gamma, kSample);
+  SampledQMax<> sa_batched(p.q, p.gamma, kSample);
+  ASSERT_TRUE(sa_batched.sampling_enabled());
 
   std::vector<qmax::Entry> scalar_evicted, batched_evicted;
   scalar.set_evict_callback(
@@ -204,9 +212,11 @@ TEST_P(BatchDifferentialFuzz, BatchPathMatchesScalarPath) {
     for (std::size_t j = 0; j < m; ++j) {
       scalar.add(ids[i + j], stream[i + j]);
       am_scalar.add(ids[i + j], stream[i + j]);
+      sa_scalar.add(ids[i + j], stream[i + j]);
     }
     batched.add_batch(ids.data() + i, stream.data() + i, m);
     am_batched.add_batch(ids.data() + i, stream.data() + i, m);
+    sa_batched.add_batch(ids.data() + i, stream.data() + i, m);
     i += m;
 
     ASSERT_EQ(scalar.threshold(), batched.threshold()) << "at item " << i;
@@ -217,15 +227,28 @@ TEST_P(BatchDifferentialFuzz, BatchPathMatchesScalarPath) {
         << "amortized, at item " << i;
     ASSERT_EQ(am_scalar.admitted(), am_batched.admitted())
         << "amortized, at item " << i;
+    ASSERT_EQ(sa_scalar.threshold(), sa_batched.threshold())
+        << "sampled, at item " << i;
+    ASSERT_EQ(sa_scalar.admitted(), sa_batched.admitted())
+        << "sampled, at item " << i;
+    ASSERT_EQ(sa_scalar.live_count(), sa_batched.live_count())
+        << "sampled, at item " << i;
     if (++chunks % 64 == 0) {  // query is O(capacity): sample it
       ASSERT_EQ(snapshot(scalar), snapshot(batched)) << "at item " << i;
       ASSERT_EQ(snapshot(am_scalar), snapshot(am_batched))
           << "amortized, at item " << i;
+      ASSERT_EQ(snapshot(sa_scalar), snapshot(sa_batched))
+          << "sampled, at item " << i;
     }
   }
 
   EXPECT_EQ(snapshot(scalar), snapshot(batched));
   EXPECT_EQ(snapshot(am_scalar), snapshot(am_batched));
+  EXPECT_EQ(snapshot(sa_scalar), snapshot(sa_batched));
+  // The sampled policy's RNG draws must line up too: same pivot passes
+  // and the same exact fallbacks on both paths.
+  EXPECT_EQ(sa_scalar.sampled_passes(), sa_batched.sampled_passes());
+  EXPECT_EQ(sa_scalar.exact_fallbacks(), sa_batched.exact_fallbacks());
   // Exact sequence (order included): the batch path must end iterations at
   // precisely the scalar points with bit-identical array state.
   EXPECT_EQ(scalar_evicted, batched_evicted);

@@ -157,8 +157,8 @@ TEST(ShardedQMax, MergeMatchesGoldenIdsOnTieFreeTrace) {
 }
 
 TEST(ShardedQMax, BatchPathMatchesGolden) {
-  // Same exactness through add_batch (the SIMD-prefiltered path the
-  // sharded consumers actually use), with randomized run lengths.
+  // Same exactness through add_batch (the batch path the sharded
+  // consumers actually use), with randomized run lengths.
   ShardedQMax<QMax<>> sh(4, 128, {}, true);
   seedref::QMax<> ref(128, 0.25);
   const auto vals = adversarial_doubles(60'000, 7);

@@ -228,8 +228,6 @@ static_assert(tel::kTraceEnabled);
 static_assert(std::string_view(tel::stage_name(tel::Stage::kAdd)) == "add");
 static_assert(std::string_view(tel::stage_name(tel::Stage::kAddBatch)) ==
               "add_batch");
-static_assert(std::string_view(tel::stage_name(tel::Stage::kPrefilter)) ==
-              "prefilter");
 static_assert(std::string_view(tel::stage_name(tel::Stage::kMaintenance)) ==
               "maintenance");
 static_assert(std::string_view(tel::stage_name(tel::Stage::kPartitionTop)) ==
