@@ -5,10 +5,13 @@
 //
 // N PMD threads each own a flow table (OVS keeps a per-PMD EMC *and* a
 // per-PMD dpcls) and an SPSC monitor ring. Packets are dispatched to PMDs
-// by RSS (flow-key hash), preserving per-flow ordering. One measurement
-// thread — the user-space program — drains all rings round-robin and
-// feeds a single measurement algorithm; each ring stays single-producer /
-// single-consumer.
+// by RSS (flow-key hash), preserving per-flow ordering: PMD i hashes its
+// contiguous 1/N slice of the call's packets into per-queue index lists,
+// the PMDs meet at a barrier, and PMD j then forwards queue j by index,
+// slice 0 first, so every flow keeps span order and no packet is copied.
+// M measurement threads — the user-space program — drain the rings,
+// consumer j taking rings i ≡ j (mod M); each ring stays
+// single-producer / single-consumer.
 //
 // Throughput semantics match VirtualSwitch: with backpressure on, a slow
 // measurement consumer stalls whichever PMD fills its ring, dragging
@@ -17,10 +20,14 @@
 #pragma once
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -43,9 +50,12 @@ struct MultiPmdConfig {
 struct MultiRunResult {
   std::vector<RunResult> per_pmd;
   std::uint64_t packets = 0;
-  double seconds = 0.0;  // wall-clock of the whole parallel section
-  /// Per-consumer CPU seconds (thread clock) spent on non-empty drains:
-  /// entry i is what consumer i actually burned draining + measuring.
+  /// Wall-clock of the whole parallel section: RSS hashing plus
+  /// forwarding, until the last PMD finishes.
+  double seconds = 0.0;
+  /// Per-consumer CPU seconds (thread clock) spent outside idle polling:
+  /// entry j is what consumer j burned draining + measuring, clocked only
+  /// when it turns busy (a drain after an all-empty round) and idle again.
   /// forward_sharded fills one entry per ring, forward_monitored one for
   /// its single monitor thread; empty for unmonitored runs.
   std::vector<double> consumer_busy_seconds;
@@ -163,6 +173,7 @@ class MultiPmdSwitch {
     for (std::size_t i = 0; i < cfg_.pmd_threads; ++i) {
       pmds_.push_back(std::make_unique<VirtualSwitch>(cfg_.per_pmd));
     }
+    lists_.resize(cfg_.pmd_threads * cfg_.pmd_threads);
   }
 
   /// Install the same forwarding policy on every PMD's table.
@@ -195,100 +206,11 @@ class MultiPmdSwitch {
   template <typename Consumer>
   MultiRunResult forward_monitored(std::span<const trace::PacketRecord> packets,
                                    Consumer&& consume) {
-    const std::size_t n = pmds_.size();
-    // RSS partition (outside the timed section, like the packet
-    // generators: the NIC does this in hardware).
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (auto& s : shards) s.reserve(packets.size() / n + 1);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
-    std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
-    rings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rings.push_back(std::make_unique<SpscRing<MonitorRecord>>(
-          cfg_.per_pmd.ring_capacity));
-    }
-
-    MultiRunResult res;
-    res.per_pmd.resize(n);
-    res.packets = packets.size();
-    res.consumer_busy_seconds.assign(1, 0.0);  // the one monitor thread
-    res.busy_time_valid = common::thread_cputime_supported();
-    std::atomic<std::size_t> producers_done{0};
-
-    // Monitor-side per-ring gauges; published into res.per_pmd after the
-    // joins (which order the writes), so producers and the monitor never
-    // touch the same RunResult concurrently.
-    std::vector<std::uint64_t> occ_max(n, 0);
-    std::vector<std::uint64_t> drain_batches(n, 0);
-    std::vector<std::uint64_t> drained(n, 0);
-
-    common::Stopwatch wall;
-    std::vector<std::thread> pmd_threads;
-    pmd_threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
-        producers_done.fetch_add(1, std::memory_order_release);
-      });
-    }
-
-    std::thread monitor([&] {
-      MonitorRecord batch[64];
-      common::ThreadCpuStopwatch cpu;
-      double busy = 0.0;
-      for (;;) {
-        bool any = false;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t occ = rings[i]->size_approx();
-          cpu.reset();
-          const std::size_t got = rings[i]->pop_batch(batch, 64);
-          if (got > 0) {
-            [[maybe_unused]] telemetry::Span drain_span(
-                telemetry::Stage::kRingDrain);
-            if constexpr (std::is_invocable_v<
-                              Consumer&, std::size_t,
-                              std::span<const MonitorRecord>>) {
-              consume(i, std::span<const MonitorRecord>(batch, got));
-            } else {
-              for (std::size_t j = 0; j < got; ++j) consume(i, batch[j]);
-            }
-          }
-          if (got > 0) {
-            busy += cpu.seconds();
-            ++drain_batches[i];
-            drained[i] += got;
-            if (occ > occ_max[i]) occ_max[i] = occ;
-            mon_tm_.drain_batch.record(got);
-            mon_tm_.ring_occupancy.record(occ);
-            mon_tm_.records_drained.inc(got);
-            any = true;
-          }
-        }
-        if (!any) {
-          mon_tm_.empty_polls.inc();
-          if (producers_done.load(std::memory_order_acquire) == n) {
-            bool all_empty = true;
-            for (const auto& r : rings) all_empty &= r->empty_approx();
-            if (all_empty) break;
-          }
-          std::this_thread::yield();
-        }
-      }
-      res.consumer_busy_seconds[0] = busy;  // sole writer; read post-join
-    });
-
-    for (auto& t : pmd_threads) t.join();
-    const double producer_wall = wall.seconds();
-    monitor.join();
-    res.seconds = producer_wall;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.per_pmd[i].ring_capacity = rings[i]->capacity();
-      res.per_pmd[i].ring_occupancy_max = occ_max[i];
-      res.per_pmd[i].drain_batches = drain_batches[i];
-      res.per_pmd[i].records_drained = drained[i];
-    }
-    return res;
+    return run_monitored(packets, 1,
+                         [&](std::size_t) -> MonitorTelemetry& {
+                           return mon_tm_;
+                         },
+                         consume);
   }
 
   /// Sharded measurement pipeline: one consumer thread PER ring instead
@@ -297,105 +219,19 @@ class MultiPmdSwitch {
   /// ShardedQMax behind the consumer this is the layout where shard i is
   /// single-writer by construction. Each ring remains SPSC and the only
   /// producer→consumer handoff beyond the ring itself is one done flag.
-  /// Fills res.consumer_busy_seconds with each consumer's thread-CPU
-  /// time spent on non-empty drains (idle polling excluded), the input
-  /// to MultiRunResult::modeled_consumer_mpps().
+  /// Fills one res.consumer_busy_seconds entry per ring, the input to
+  /// MultiRunResult::modeled_consumer_mpps().
   template <typename Consumer>
   MultiRunResult forward_sharded(std::span<const trace::PacketRecord> packets,
                                  Consumer&& consume) {
-    const std::size_t n = pmds_.size();
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (auto& s : shards) s.reserve(packets.size() / n + 1);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
-    std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
-    rings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rings.push_back(std::make_unique<SpscRing<MonitorRecord>>(
-          cfg_.per_pmd.ring_capacity));
-    }
     // One MonitorTelemetry per ring: the instruments are single-writer
     // plain fields, so concurrent consumers must never share a pack.
-    while (shard_mon_tm_.size() < n) {
-      shard_mon_tm_.push_back(std::make_unique<MonitorTelemetry>());
-    }
-
-    MultiRunResult res;
-    res.per_pmd.resize(n);
-    res.packets = packets.size();
-    res.consumer_busy_seconds.assign(n, 0.0);
-    res.busy_time_valid = common::thread_cputime_supported();
-    std::vector<std::atomic<bool>> done(n);
-
-    std::vector<std::uint64_t> occ_max(n, 0);
-    std::vector<std::uint64_t> drain_batches(n, 0);
-    std::vector<std::uint64_t> drained(n, 0);
-
-    common::Stopwatch wall;
-    std::vector<std::thread> pmd_threads;
-    pmd_threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
-        done[i].store(true, std::memory_order_release);
-      });
-    }
-
-    std::vector<std::thread> consumers;
-    consumers.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      consumers.emplace_back([&, i] {
-        MonitorRecord batch[64];
-        MonitorTelemetry& tm = *shard_mon_tm_[i];
-        common::ThreadCpuStopwatch cpu;
-        double busy = 0.0;
-        for (;;) {
-          const std::size_t occ = rings[i]->size_approx();
-          cpu.reset();
-          const std::size_t got = rings[i]->pop_batch(batch, 64);
-          if (got > 0) {
-            {
-              [[maybe_unused]] telemetry::Span drain_span(
-                  telemetry::Stage::kRingDrain);
-              if constexpr (std::is_invocable_v<
-                                Consumer&, std::size_t,
-                                std::span<const MonitorRecord>>) {
-                consume(i, std::span<const MonitorRecord>(batch, got));
-              } else {
-                for (std::size_t j = 0; j < got; ++j) consume(i, batch[j]);
-              }
-            }
-            busy += cpu.seconds();
-            ++drain_batches[i];
-            drained[i] += got;
-            if (occ > occ_max[i]) occ_max[i] = occ;
-            tm.drain_batch.record(got);
-            tm.ring_occupancy.record(occ);
-            tm.records_drained.inc(got);
-          } else {
-            tm.empty_polls.inc();
-            if (done[i].load(std::memory_order_acquire) &&
-                rings[i]->empty_approx()) {
-              break;
-            }
-            std::this_thread::yield();
-          }
-        }
-        res.consumer_busy_seconds[i] = busy;  // sole writer; read post-join
-      });
-    }
-
-    for (auto& t : pmd_threads) t.join();
-    const double producer_wall = wall.seconds();
-    for (auto& t : consumers) t.join();
-    res.seconds = producer_wall;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.per_pmd[i].ring_capacity = rings[i]->capacity();
-      res.per_pmd[i].ring_occupancy_max = occ_max[i];
-      res.per_pmd[i].drain_batches = drain_batches[i];
-      res.per_pmd[i].records_drained = drained[i];
-    }
-    return res;
+    grow(shard_mon_tm_, pmds_.size());
+    return run_monitored(packets, pmds_.size(),
+                         [&](std::size_t j) -> MonitorTelemetry& {
+                           return *shard_mon_tm_[j];
+                         },
+                         consume);
   }
 
   /// Concurrent measurement pipeline: M consumer threads over N rings,
@@ -403,7 +239,8 @@ class MultiPmdSwitch {
   /// (ConcurrentQMax). Consumer j drains exactly the rings i with
   /// i mod M == j, so every ring keeps a single consumer and stays SPSC;
   /// unlike forward_sharded the consumer count is decoupled from the PMD
-  /// count — 8 PMDs can feed 2 measurement cores, or 2 PMDs feed 4.
+  /// count — 8 PMDs can feed 2 measurement cores. A request for more
+  /// consumers than rings (or for none) is clamped to [1, N].
   /// `consume` is called as `consume(ring_index, record)` or, when it
   /// accepts a span, `consume(ring_index, span)`; with a ConcurrentQMax
   /// behind it each consumer thread owns a thread-local admission buffer
@@ -417,107 +254,14 @@ class MultiPmdSwitch {
     const std::size_t m =
         consumer_threads == 0 ? 1 : (consumer_threads < n ? consumer_threads
                                                           : n);
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (auto& s : shards) s.reserve(packets.size() / n + 1);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
-    std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
-    rings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rings.push_back(std::make_unique<SpscRing<MonitorRecord>>(
-          cfg_.per_pmd.ring_capacity));
-    }
     // One MonitorTelemetry per consumer thread (not per ring): the
     // instruments are single-writer plain fields.
-    while (conc_mon_tm_.size() < m) {
-      conc_mon_tm_.push_back(std::make_unique<MonitorTelemetry>());
-    }
-
-    MultiRunResult res;
-    res.per_pmd.resize(n);
-    res.packets = packets.size();
-    res.consumer_busy_seconds.assign(m, 0.0);
-    res.busy_time_valid = common::thread_cputime_supported();
-    std::vector<std::atomic<bool>> done(n);
-
-    // Per-ring gauges: ring i is drained only by consumer i mod m, so
-    // each entry keeps a single writer.
-    std::vector<std::uint64_t> occ_max(n, 0);
-    std::vector<std::uint64_t> drain_batches(n, 0);
-    std::vector<std::uint64_t> drained(n, 0);
-
-    common::Stopwatch wall;
-    std::vector<std::thread> pmd_threads;
-    pmd_threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
-        done[i].store(true, std::memory_order_release);
-      });
-    }
-
-    std::vector<std::thread> consumers;
-    consumers.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      consumers.emplace_back([&, j] {
-        MonitorRecord batch[64];
-        MonitorTelemetry& tm = *conc_mon_tm_[j];
-        common::ThreadCpuStopwatch cpu;
-        double busy = 0.0;
-        for (;;) {
-          bool any = false;
-          bool all_done = true;
-          for (std::size_t i = j; i < n; i += m) {
-            const std::size_t occ = rings[i]->size_approx();
-            cpu.reset();
-            const std::size_t got = rings[i]->pop_batch(batch, 64);
-            if (got > 0) {
-              {
-                [[maybe_unused]] telemetry::Span drain_span(
-                    telemetry::Stage::kRingDrain);
-                if constexpr (std::is_invocable_v<
-                                  Consumer&, std::size_t,
-                                  std::span<const MonitorRecord>>) {
-                  consume(i, std::span<const MonitorRecord>(batch, got));
-                } else {
-                  for (std::size_t k = 0; k < got; ++k) consume(i, batch[k]);
-                }
-              }
-              busy += cpu.seconds();
-              ++drain_batches[i];
-              drained[i] += got;
-              if (occ > occ_max[i]) occ_max[i] = occ;
-              tm.drain_batch.record(got);
-              tm.ring_occupancy.record(occ);
-              tm.records_drained.inc(got);
-              any = true;
-            }
-            if (!done[i].load(std::memory_order_acquire) ||
-                !rings[i]->empty_approx()) {
-              all_done = false;
-            }
-          }
-          if (!any) {
-            tm.empty_polls.inc();
-            if (all_done) break;
-            std::this_thread::yield();
-          }
-        }
-        res.consumer_busy_seconds[j] = busy;  // sole writer; read post-join
-      });
-    }
-
-    for (auto& t : pmd_threads) t.join();
-    const double producer_wall = wall.seconds();
-    for (auto& t : consumers) t.join();
-    res.seconds = producer_wall;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.per_pmd[i].ring_capacity = rings[i]->capacity();
-      res.per_pmd[i].ring_occupancy_max = occ_max[i];
-      res.per_pmd[i].drain_batches = drain_batches[i];
-      res.per_pmd[i].records_drained = drained[i];
-    }
-    return res;
+    grow(conc_mon_tm_, m);
+    return run_monitored(packets, m,
+                         [&](std::size_t j) -> MonitorTelemetry& {
+                           return *conc_mon_tm_[j];
+                         },
+                         consume);
   }
 
   /// Consumer-side instruments across all rings, accumulated over runs.
@@ -554,28 +298,159 @@ class MultiPmdSwitch {
 
   /// Forward without monitoring (the vanilla baseline).
   MultiRunResult forward(std::span<const trace::PacketRecord> packets) {
-    const std::size_t n = pmds_.size();
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
     MultiRunResult res;
-    res.per_pmd.resize(n);
-    res.packets = packets.size();
-    common::Stopwatch wall;
-    std::vector<std::thread> pmd_threads;
-    for (std::size_t i = 0; i < n; ++i) {
-      pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], nullptr, res.per_pmd[i]);
-      });
-    }
-    for (auto& t : pmd_threads) t.join();
-    res.seconds = wall.seconds();
+    run_pmds(packets, nullptr, res, [] {});
     return res;
   }
 
  private:
+  static void grow(std::vector<std::unique_ptr<MonitorTelemetry>>& packs,
+                   std::size_t count) {
+    while (packs.size() < count) {
+      packs.push_back(std::make_unique<MonitorTelemetry>());
+    }
+  }
+
+  /// Runs the PMD threads over `packets` and `alongside()` on the calling
+  /// thread meanwhile; returns once every PMD has finished, with
+  /// res.seconds set. PMD i hashes slice i into lists_[q * n + i] for
+  /// each queue q, waits for the others, then forwards queue i — into
+  /// rings_[i] when `done` is set, raising done[i] afterwards.
+  template <typename Alongside>
+  void run_pmds(std::span<const trace::PacketRecord> packets,
+                std::atomic<bool>* done, MultiRunResult& res,
+                Alongside&& alongside) {
+    if (packets.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error(
+          "MultiPmdSwitch: a call forwards at most 2^32 - 1 packets");
+    }
+    const std::size_t n = pmds_.size();
+    res.per_pmd.resize(n);
+    res.packets = packets.size();
+    std::barrier<> hashed(static_cast<std::ptrdiff_t>(n));
+    common::Stopwatch wall;
+    std::vector<std::thread> pmd_threads;
+    pmd_threads.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pmd_threads.emplace_back([&, i] {
+        const std::size_t begin = packets.size() * i / n;
+        const std::size_t end = packets.size() * (i + 1) / n;
+        for (std::size_t q = 0; q < n; ++q) lists_[q * n + i].idx.clear();
+        for (std::size_t k = begin; k < end; ++k) {
+          lists_[rss(packets[k]) * n + i].idx.push_back(
+              static_cast<std::uint32_t>(k));
+        }
+        hashed.arrive_and_wait();
+        pmds_[i]->run_datapath(
+            packets, std::span<const RxIndexList>(lists_).subspan(i * n, n),
+            done != nullptr ? rings_[i].get() : nullptr, res.per_pmd[i]);
+        if (done != nullptr) done[i].store(true, std::memory_order_release);
+      });
+    }
+    alongside();
+    for (auto& t : pmd_threads) t.join();
+    res.seconds = wall.seconds();
+  }
+
+  /// The one monitored pipeline: m consumer threads over the n rings,
+  /// consumer j draining rings i ≡ j (mod m) into `consume` and
+  /// reporting into tm_of(j). Rings are built by the first call and
+  /// reused: every call returns with every ring drained.
+  template <typename TmOf, typename Consumer>
+  MultiRunResult run_monitored(std::span<const trace::PacketRecord> packets,
+                               std::size_t m, TmOf&& tm_of,
+                               Consumer& consume) {
+    const std::size_t n = pmds_.size();
+    while (rings_.size() < n) {
+      rings_.push_back(std::make_unique<SpscRing<MonitorRecord>>(
+          cfg_.per_pmd.ring_capacity));
+    }
+    MultiRunResult res;
+    res.consumer_busy_seconds.assign(m, 0.0);
+    res.busy_time_valid = common::thread_cputime_supported();
+    std::vector<std::atomic<bool>> done(n);
+    // Consumer-side per-ring gauges: ring i has the one consumer i mod m,
+    // so each entry keeps a single writer; published into res.per_pmd
+    // after the joins (which order the writes).
+    std::vector<std::uint64_t> occ_max(n, 0);
+    std::vector<std::uint64_t> drain_batches(n, 0);
+    std::vector<std::uint64_t> drained(n, 0);
+
+    std::vector<std::thread> consumers;
+    consumers.reserve(m);
+    run_pmds(packets, done.data(), res, [&] {
+      for (std::size_t j = 0; j < m; ++j) {
+        consumers.emplace_back([&, j] {
+          MonitorRecord batch[64];
+          MonitorTelemetry& tm = tm_of(j);
+          common::ThreadCpuStopwatch cpu;  // read at busy/idle edges only
+          bool busy = false;
+          double busy_s = 0.0;
+          for (;;) {
+            bool any = false;
+            bool finished = true;
+            for (std::size_t i = j; i < n; i += m) {
+              SpscRing<MonitorRecord>& ring = *rings_[i];
+              const std::size_t occ = ring.size_approx();
+              const std::size_t got = ring.pop_batch(batch, 64);
+              if (got == 0) {
+                // done[i] is read before the emptiness check, so a ring
+                // seen empty after its producer finished stays empty.
+                finished = finished &&
+                           done[i].load(std::memory_order_acquire) &&
+                           ring.empty_approx();
+                continue;
+              }
+              if (!busy) {
+                cpu.reset();
+                busy = true;
+              }
+              {
+                [[maybe_unused]] telemetry::Span drain_span(
+                    telemetry::Stage::kRingDrain);
+                if constexpr (std::is_invocable_v<
+                                  Consumer&, std::size_t,
+                                  std::span<const MonitorRecord>>) {
+                  consume(i, std::span<const MonitorRecord>(batch, got));
+                } else {
+                  for (std::size_t k = 0; k < got; ++k) consume(i, batch[k]);
+                }
+              }
+              ++drain_batches[i];
+              drained[i] += got;
+              if (occ > occ_max[i]) occ_max[i] = occ;
+              tm.drain_batch.record(got);
+              tm.ring_occupancy.record(occ);
+              tm.records_drained.inc(got);
+              any = true;
+            }
+            if (any) continue;
+            if (busy) {
+              busy_s += cpu.seconds();
+              busy = false;
+            }
+            tm.empty_polls.inc();
+            if (finished) break;
+            std::this_thread::yield();
+          }
+          res.consumer_busy_seconds[j] = busy_s;  // sole writer
+        });
+      }
+    });
+    for (auto& t : consumers) t.join();
+    for (std::size_t i = 0; i < n; ++i) {
+      res.per_pmd[i].ring_capacity = rings_[i]->capacity();
+      res.per_pmd[i].ring_occupancy_max = occ_max[i];
+      res.per_pmd[i].drain_batches = drain_batches[i];
+      res.per_pmd[i].records_drained = drained[i];
+    }
+    return res;
+  }
+
   MultiPmdConfig cfg_;
   std::vector<std::unique_ptr<VirtualSwitch>> pmds_;
+  std::vector<RxIndexList> lists_;  // n × n, queue-major
+  std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings_;
   [[no_unique_address]] MonitorTelemetry mon_tm_;
   std::vector<std::unique_ptr<MonitorTelemetry>> shard_mon_tm_;
   std::vector<std::unique_ptr<MonitorTelemetry>> conc_mon_tm_;

@@ -57,6 +57,23 @@ class SpscRing {
     return true;
   }
 
+  /// Producer side: push the longest prefix of `in[0, n)` that fits and
+  /// publish it with one release store. Returns how many were pushed (0
+  /// when full).
+  std::size_t push_batch(const T* in, std::size_t n) noexcept {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    std::size_t room =
+        capacity() - static_cast<std::size_t>(head - tail_cache_);
+    if (room < n) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      room = capacity() - static_cast<std::size_t>(head - tail_cache_);
+    }
+    if (n > room) n = room;
+    for (std::size_t i = 0; i < n; ++i) buf_[(head + i) & mask_] = in[i];
+    if (n > 0) head_.store(head + n, std::memory_order_release);
+    return n;
+  }
+
   /// Consumer side. Returns false when empty.
   bool try_pop(T& out) noexcept {
     if (fault::pop_stalled()) return false;  // injected consumer stall

@@ -3,7 +3,8 @@
 namespace qmax::vswitch {
 
 VirtualSwitch::VirtualSwitch(SwitchConfig cfg)
-    : cfg_(cfg), table_(cfg.emc_entries) {}
+    : cfg_(cfg), table_(cfg.emc_entries),
+      staged_(cfg.rx_burst == 0 ? 1 : cfg.rx_burst) {}
 
 void VirtualSwitch::install_default_rules(std::uint32_t buckets) {
   // One subtable: match the low bits of src_ip, wildcard everything else.
@@ -26,28 +27,21 @@ void VirtualSwitch::install_default_rules(std::uint32_t buckets) {
 RunResult VirtualSwitch::forward(std::span<const trace::PacketRecord> packets) {
   RunResult res;
   common::Stopwatch sw;
-  pmd_loop(packets, nullptr, res);
+  pmd_loop(packets, {}, nullptr, res);
   res.seconds = sw.seconds();
   return res;
 }
 
-void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
-                             SpscRing<MonitorRecord>* ring, RunResult& res) {
-  const std::size_t burst = cfg_.rx_burst;
-  std::size_t i = 0;
-  const std::size_t n = packets.size();
-  GracefulCtx g;
-  if (ring != nullptr && cfg_.policy == OverloadPolicy::kGraceful) {
-    double frac = cfg_.deescalate_watermark;
-    if (!(frac >= 0.0)) frac = 0.0;
-    if (frac > 1.0) frac = 1.0;
-    g.watermark_slots = static_cast<std::size_t>(
-        frac * static_cast<double>(ring->capacity()));
-  }
-  while (i < n) {
+template <typename At>
+void VirtualSwitch::forward_bursts(std::size_t n, At&& at,
+                                   SpscRing<MonitorRecord>* ring,
+                                   GracefulCtx& g, RunResult& res) {
+  const std::size_t burst = staged_.size();
+  for (std::size_t i = 0; i < n;) {
     const std::size_t end = i + burst < n ? i + burst : n;
+    std::size_t staged = 0;
     for (; i < end; ++i) {
-      const trace::PacketRecord& p = packets[i];
+      const trace::PacketRecord& p = at(i);
       if (auto act = table_.lookup(p.tuple)) {
         ++tx_counts_[act->out_port & 0xFF];
         ++res.forwarded;
@@ -63,30 +57,69 @@ void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
       }
       res.bytes += p.length;
       ++res.packets;
-
       if (ring != nullptr) {
-        const MonitorRecord rec{p.tuple.src_ip, p.length, p.packet_id};
-        switch (cfg_.policy) {
-          case OverloadPolicy::kBackpressure:
-            if (!ring->try_push(rec)) {
-              ++res.backpressure_stalls;
-              [[maybe_unused]] telemetry::Span stall_span(
-                  telemetry::Stage::kRingPushStall);
-              do {
-                // Share the core with the monitor thread while waiting.
-                std::this_thread::yield();
-              } while (!ring->try_push(rec));
-            }
-            break;
-          case OverloadPolicy::kDrop:
-            if (!ring->try_push(rec)) ++res.records_dropped;
-            break;
-          case OverloadPolicy::kGraceful:
-            graceful_enqueue(rec, *ring, g, res);
-            break;
-        }
+        staged_[staged++] =
+            MonitorRecord{p.tuple.src_ip, p.length, p.packet_id};
       }
     }
+    if (ring != nullptr) enqueue_burst(staged, *ring, g, res);
+  }
+}
+
+void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
+                             std::span<const RxIndexList> queue,
+                             SpscRing<MonitorRecord>* ring, RunResult& res) {
+  GracefulCtx g;
+  if (ring != nullptr && cfg_.policy == OverloadPolicy::kGraceful) {
+    double frac = cfg_.deescalate_watermark;
+    if (!(frac >= 0.0)) frac = 0.0;
+    if (frac > 1.0) frac = 1.0;
+    g.watermark_slots = static_cast<std::size_t>(
+        frac * static_cast<double>(ring->capacity()));
+  }
+  if (queue.empty()) {
+    forward_bursts(
+        packets.size(),
+        [&](std::size_t k) -> const auto& { return packets[k]; }, ring, g,
+        res);
+    return;
+  }
+  for (const RxIndexList& list : queue) {
+    const std::uint32_t* idx = list.idx.data();
+    forward_bursts(
+        list.idx.size(),
+        [&](std::size_t k) -> const auto& { return packets[idx[k]]; }, ring, g,
+        res);
+  }
+}
+
+void VirtualSwitch::enqueue_burst(std::size_t n, SpscRing<MonitorRecord>& ring,
+                                  GracefulCtx& g, RunResult& res) {
+  const MonitorRecord* recs = staged_.data();
+  switch (cfg_.policy) {
+    case OverloadPolicy::kBackpressure: {
+      std::size_t pushed = ring.push_batch(recs, n);
+      if (pushed < n) {
+        ++res.backpressure_stalls;
+        [[maybe_unused]] telemetry::Span stall_span(
+            telemetry::Stage::kRingPushStall);
+        do {
+          // Share the core with the monitor thread while waiting.
+          std::this_thread::yield();
+          pushed += ring.push_batch(recs + pushed, n - pushed);
+        } while (pushed < n);
+      }
+      break;
+    }
+    case OverloadPolicy::kDrop:
+      res.records_dropped += n - ring.push_batch(recs, n);
+      break;
+    case OverloadPolicy::kGraceful:
+      // The ladder decides per record: it may shed one and push the next.
+      for (std::size_t k = 0; k < n; ++k) {
+        graceful_enqueue(recs[k], ring, g, res);
+      }
+      break;
   }
 }
 

@@ -3,9 +3,10 @@
 //
 // A PMD-style poll loop pulls packets in bursts, runs the two-tier flow
 // table lookup (EMC → tuple-space classifier), executes the action, and —
-// when monitoring is attached — copies a MonitorRecord (source IP, packet
-// id, packet size: exactly the fields the paper's OVS patch records) into
-// an SPSC shared-memory ring consumed by a measurement thread.
+// when monitoring is attached — stages a MonitorRecord (source IP, packet
+// id, packet size: exactly the fields the paper's OVS patch records) per
+// packet and publishes each burst's records into an SPSC shared-memory
+// ring consumed by a measurement thread.
 //
 // Throughput semantics: with backpressure enabled (default, matching the
 // paper's observed behaviour) the PMD blocks when the ring is full, so a
@@ -21,6 +22,7 @@
 #include <span>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "telemetry/counters.hpp"
@@ -104,6 +106,14 @@ enum class DegradeState : std::uint8_t {
   }
   return "ladder:deescalate_to_?";
 }
+
+/// Packets one RSS queue receives from one hashing slice of a multi-PMD
+/// forward_* call: indices into that call's packet span, in span order.
+/// Each list sits on its own cache line, so the PMDs filling neighbouring
+/// lists never write to a shared line.
+struct alignas(64) RxIndexList {
+  std::vector<std::uint32_t> idx;
+};
 
 struct SwitchConfig {
   double linerate_gbps = 10.0;
@@ -202,6 +212,8 @@ struct RunResult {
   /// Records not handed to the monitor, for any reason: kDrop-mode drops
   /// plus every kGraceful shed/watchdog drop (the three counters below).
   std::uint64_t records_dropped = 0;
+  /// Full-ring waits: one per rx burst that found the ring full under
+  /// kBackpressure, one per such record under kGraceful.
   std::uint64_t backpressure_stalls = 0;
   // kGraceful breakdown of records_dropped, plus ladder movement.
   std::uint64_t shed_probabilistic = 0;  // every-k shedding
@@ -330,7 +342,7 @@ class VirtualSwitch {
     });
 
     common::Stopwatch sw;
-    pmd_loop(packets, &ring, res);
+    pmd_loop(packets, {}, &ring, res);
     res.seconds = sw.seconds();
     producer_done.store(true, std::memory_order_release);
     monitor.join();
@@ -341,13 +353,16 @@ class VirtualSwitch {
     return res;
   }
 
-  /// Run the PMD loop against an externally owned ring (no monitor thread
-  /// is spawned). Building block for multi-PMD deployments where one
-  /// measurement program drains several per-PMD rings (see multi_pmd.hpp).
+  /// Run the PMD loop over the packets `queue` indexes, list by list,
+  /// against an externally owned ring (null: unmonitored; no monitor
+  /// thread is spawned). Building block for multi-PMD deployments where
+  /// one measurement program drains several per-PMD rings (see
+  /// multi_pmd.hpp).
   void run_datapath(std::span<const trace::PacketRecord> packets,
+                    std::span<const RxIndexList> queue,
                     SpscRing<MonitorRecord>* ring, RunResult& res) {
     common::Stopwatch sw;
-    pmd_loop(packets, ring, res);
+    pmd_loop(packets, queue, ring, res);
     res.seconds = sw.seconds();
   }
 
@@ -373,9 +388,22 @@ class VirtualSwitch {
     std::size_t watermark_slots = 0; // de-escalation occupancy threshold
   };
 
-  /// The PMD poll loop. `ring == nullptr` disables monitoring.
+  /// The PMD poll loop over the packets `queue` indexes, or over all of
+  /// `packets` in order when `queue` is empty. One GracefulCtx spans the
+  /// call. `ring == nullptr` disables monitoring.
   void pmd_loop(std::span<const trace::PacketRecord> packets,
+                std::span<const RxIndexList> queue,
                 SpscRing<MonitorRecord>* ring, RunResult& res);
+
+  /// Forward `n` packets, `at(k)` being the k-th, one rx burst at a time,
+  /// staging each burst's records and handing them to enqueue_burst.
+  template <typename At>
+  void forward_bursts(std::size_t n, At&& at, SpscRing<MonitorRecord>* ring,
+                      GracefulCtx& g, RunResult& res);
+
+  /// Publish one burst's staged records under the configured policy.
+  void enqueue_burst(std::size_t n, SpscRing<MonitorRecord>& ring,
+                     GracefulCtx& g, RunResult& res);
 
   /// kGraceful enqueue of one record: shed/drop decisions, bounded
   /// spinning, ladder movement. Never blocks indefinitely.
@@ -393,6 +421,7 @@ class VirtualSwitch {
   [[no_unique_address]] MonitorTelemetry mon_tm_;
   [[no_unique_address]] OverloadTelemetry ovl_tm_;
   std::uint64_t tx_counts_[256] = {};
+  std::vector<MonitorRecord> staged_;  // one rx burst's records
 };
 
 }  // namespace qmax::vswitch

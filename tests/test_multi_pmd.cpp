@@ -8,8 +8,10 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
+#include "common/timer.hpp"
 #include "qmax/concurrent.hpp"
 #include "qmax/qmax.hpp"
 #include "qmax/sharded.hpp"
@@ -81,22 +83,106 @@ TEST(MultiPmd, MonitorReceivesEveryRecordExactlyOnce) {
 }
 
 TEST(MultiPmd, PerRingOrderIsPreserved) {
-  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 2});
-  sw.install_default_rules();
+  // Every record arrives on ring rss(p), in span order. With 3 and 5
+  // PMDs the hashing slice boundaries fall at other points of each ring's
+  // stream than with 2, so this catches a slice forwarded out of order as
+  // well as a packet forwarded by the wrong PMD.
   MinSizePacketGenerator gen(1'000, 3);
   const auto packets = take_packets(gen, 50'000);
+  std::unordered_map<std::uint64_t, std::size_t> pos;
+  for (std::size_t k = 0; k < packets.size(); ++k) {
+    pos.emplace(packets[k].packet_id, k);
+  }
+  ASSERT_EQ(pos.size(), packets.size());
+  for (const std::size_t pmds : {std::size_t{2}, std::size_t{3},
+                                 std::size_t{5}}) {
+    MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = pmds});
+    sw.install_default_rules();
+    std::vector<std::size_t> next(pmds, 0);  // lowest span index allowed
+    std::vector<std::uint64_t> per_ring(pmds, 0);
+    std::uint64_t count = 0;
+    sw.forward_monitored(
+        packets, [&](std::size_t ring, const MonitorRecord& r) {
+          const std::size_t k = pos.at(r.packet_id);
+          ASSERT_EQ(ring, sw.rss(packets[k])) << "record on the wrong ring";
+          ASSERT_GE(k, next[ring]) << "reordering within ring " << ring;
+          next[ring] = k + 1;
+          ++per_ring[ring];
+          ++count;
+        });
+    EXPECT_EQ(count, packets.size()) << pmds << " PMDs";
+    for (std::size_t i = 0; i < pmds; ++i) {
+      EXPECT_GT(per_ring[i], 0u) << "ring " << i << " of " << pmds;
+    }
+  }
+}
 
-  std::map<std::size_t, std::uint64_t> last_pid;
-  sw.forward_monitored(packets,
-                       [&](std::size_t pmd, const MonitorRecord& r) {
-                         auto it = last_pid.find(pmd);
-                         if (it != last_pid.end()) {
-                           EXPECT_GT(r.packet_id, it->second)
-                               << "reordering within PMD " << pmd;
-                         }
-                         last_pid[pmd] = r.packet_id;
-                       });
-  EXPECT_EQ(last_pid.size(), 2u);
+TEST(MultiPmd, OneSwitchRunsEveryModeBackToBack) {
+  // Rings and index lists are owned by the switch and reused across
+  // calls of every shape; each call must still deliver every record
+  // exactly once and leave nothing behind for the next.
+  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 3});
+  sw.install_default_rules();
+  MinSizePacketGenerator gen(5'000, 8);
+  const auto packets = take_packets(gen, 45'000);
+  for (int round = 0; round < 2; ++round) {
+    // A slice of a different length each round moves every slice boundary.
+    const auto span = std::span<const qmax::trace::PacketRecord>(packets)
+                          .subspan(static_cast<std::size_t>(round) * 1'001);
+    std::mutex mu;
+    std::set<std::uint64_t> seen;
+    std::uint64_t count = 0;
+    auto check = [&](std::size_t, const MonitorRecord& r) {
+      std::lock_guard<std::mutex> lk(mu);
+      EXPECT_TRUE(seen.insert(r.packet_id).second)
+          << "record " << r.packet_id << " delivered twice";
+      ++count;
+    };
+    auto expect_all = [&](const MultiRunResult& res, const char* mode) {
+      EXPECT_EQ(count, span.size()) << mode << ", round " << round;
+      EXPECT_EQ(seen.size(), span.size()) << mode;
+      EXPECT_EQ(res.total_drained(), span.size()) << mode;
+      EXPECT_EQ(res.packets, span.size()) << mode;
+      seen.clear();
+      count = 0;
+    };
+    expect_all(sw.forward_monitored(span, check), "forward_monitored");
+    expect_all(sw.forward_sharded(span, check), "forward_sharded");
+    expect_all(sw.forward_concurrent(span, 2, check), "forward_concurrent");
+    const auto res = sw.forward(span);
+    std::uint64_t forwarded = 0;
+    for (const auto& r : res.per_pmd) forwarded += r.forwarded;
+    EXPECT_EQ(forwarded, span.size()) << "forward, round " << round;
+    EXPECT_EQ(res.total_drained(), 0u);
+  }
+}
+
+TEST(MultiPmd, ConsumerBusySecondsArePositiveAndWithinCallWall) {
+  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 3});
+  sw.install_default_rules();
+  MinSizePacketGenerator gen(5'000, 9);
+  const auto packets = take_packets(gen, 60'000);
+  auto burn = [](std::size_t, const MonitorRecord& r) {
+    volatile std::uint64_t sink = 0;
+    for (int i = 0; i < 20; ++i) sink = sink + r.length * i;
+  };
+  auto check = [](const MultiRunResult& res, double wall, std::size_t m,
+                  const char* mode) {
+    ASSERT_EQ(res.consumer_busy_seconds.size(), m) << mode;
+    for (const double s : res.consumer_busy_seconds) {
+      EXPECT_GT(s, 0.0) << mode;
+      EXPECT_LE(s, wall) << mode;
+    }
+  };
+  qmax::common::Stopwatch sw_wall;
+  auto res = sw.forward_monitored(packets, burn);
+  check(res, sw_wall.seconds(), 1, "forward_monitored");
+  sw_wall.reset();
+  res = sw.forward_sharded(packets, burn);
+  check(res, sw_wall.seconds(), 3, "forward_sharded");
+  sw_wall.reset();
+  res = sw.forward_concurrent(packets, 2, burn);
+  check(res, sw_wall.seconds(), 2, "forward_concurrent");
 }
 
 TEST(MultiPmd, RssDispatchFormulasArePinned) {

@@ -69,8 +69,14 @@ class CtlHarness {
     if (!ctl_.start()) return false;
     pump_ = std::thread([this] {
       while (!stop_.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> g(mu_);
-        ctl_.run_once(5);
+        {
+          std::lock_guard<std::mutex> g(mu_);
+          ctl_.run_once(5);
+        }
+        // std::mutex is not fair: re-locking at once starves with() and
+        // await(), which then miss windows as short as a heartbeat
+        // timeout. The pause lets a waiting test thread take the lock.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
     return true;

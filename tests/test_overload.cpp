@@ -96,7 +96,14 @@ TEST(Overload, GracefulLadderEscalatesAndAccounts) {
   const auto packets = take_packets(gen, 30'000);
 
   std::atomic<std::uint64_t> received{0};
+  bool first = true;  // monitor thread only
   const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
+    // Hold the first record until the PMD must have filled the ring: a
+    // per-record spin alone is not slow next to an instrumented PMD.
+    if (first) {
+      first = false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < 500; ++i) sink = sink + r.length * i;
     received.fetch_add(1, std::memory_order_relaxed);

@@ -92,6 +92,68 @@ TEST(SpscRing, PopBatch) {
   EXPECT_EQ(r.pop_batch(buf, 16), 0u);
 }
 
+TEST(SpscRing, PushBatchPartialFitReturnsCountThatFit) {
+  SpscRing<int> r(64);
+  std::vector<int> in(100);
+  for (int i = 0; i < 100; ++i) in[static_cast<std::size_t>(i)] = i;
+  ASSERT_EQ(r.push_batch(in.data(), 50), 50u);
+  // 14 slots left: the prefix that fits goes in, the rest is refused.
+  EXPECT_EQ(r.push_batch(in.data() + 50, 50), 14u);
+  EXPECT_EQ(r.size_approx(), 64u);
+  int v;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(r.try_pop(v));
+    EXPECT_EQ(v, i);
+  }
+  EXPECT_FALSE(r.try_pop(v));
+}
+
+TEST(SpscRing, PushBatchWrapsAtCapacityBoundary) {
+  SpscRing<int> r(64);
+  int buf[64];
+  for (int i = 0; i < 60; ++i) ASSERT_TRUE(r.try_push(-1));
+  ASSERT_EQ(r.pop_batch(buf, 60), 60u);  // head and tail sit at slot 60
+  std::vector<int> in(20);
+  for (int i = 0; i < 20; ++i) in[static_cast<std::size_t>(i)] = i;
+  ASSERT_EQ(r.push_batch(in.data(), 20), 20u);  // slots 60..63, then 0..15
+  ASSERT_EQ(r.pop_batch(buf, 64), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(buf[i], i);
+}
+
+TEST(SpscRing, PushBatchIsFifoWithPopBatch) {
+  SpscRing<std::uint64_t> r(64);
+  std::mt19937_64 rng(7);
+  std::vector<std::uint64_t> in(80);
+  std::uint64_t next_push = 0;
+  std::uint64_t next_pop = 0;
+  std::uint64_t out[64];
+  for (int round = 0; round < 2'000; ++round) {
+    const std::size_t want = rng() % in.size();
+    for (std::size_t i = 0; i < want; ++i) in[i] = next_push + i;
+    next_push += r.push_batch(in.data(), want);
+    const std::size_t got = r.pop_batch(out, 1 + rng() % 64);
+    for (std::size_t i = 0; i < got; ++i) ASSERT_EQ(out[i], next_pop++);
+  }
+  while (const std::size_t got = r.pop_batch(out, 64)) {
+    for (std::size_t i = 0; i < got; ++i) ASSERT_EQ(out[i], next_pop++);
+  }
+  EXPECT_EQ(next_pop, next_push);
+}
+
+TEST(SpscRing, PushBatchOnFullRingReturnsZero) {
+  SpscRing<int> r(64);
+  for (std::size_t i = 0; i < r.capacity(); ++i) {
+    ASSERT_TRUE(r.try_push(int(i)));
+  }
+  const int more[4] = {-1, -2, -3, -4};
+  EXPECT_EQ(r.push_batch(more, 4), 0u);
+  EXPECT_EQ(r.consumer_cursor(), 0u);
+  int v;
+  ASSERT_TRUE(r.try_pop(v));
+  EXPECT_EQ(v, 0);
+  EXPECT_EQ(r.push_batch(more, 4), 1u);  // one slot freed
+}
+
 TEST(SpscRing, DropAccountingExactAtCapacityBoundary) {
   // Interleaved push/pop with rejected pushes counted as drops: accepted
   // pushes must equal pops + remaining occupancy, exactly, across many
