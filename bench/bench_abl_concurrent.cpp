@@ -212,9 +212,6 @@ void run_direct_concurrent(benchmark::State& state, std::size_t writers,
       cm.add_value("handoffs", static_cast<double>(r.handoffs()));
       cm.add_value("handoff_stalls",
                    static_cast<double>(r.handoff_stalls()));
-      cm.add_value("psi_publishes", static_cast<double>(r.psi_publishes()));
-      cm.add_value("psi_cas_retries",
-                   static_cast<double>(r.psi_cas_retries()));
       cm.add_value("maintenance_rounds",
                    static_cast<double>(r.maintenance_rounds()));
       cm.add_value("screened_out", static_cast<double>(r.screened_out()));
@@ -304,9 +301,8 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
         cm.add_value("handoffs", static_cast<double>(r.handoffs()));
         cm.add_value("handoff_stalls",
                      static_cast<double>(r.handoff_stalls()));
-        for (std::size_t j = 0; j < sw.concurrent_monitor_count(); ++j) {
-          cm.bind("consumer" + std::to_string(j),
-                  sw.concurrent_monitor_telemetry(j));
+        for (std::size_t j = 0; j < sw.consumer_count(); ++j) {
+          cm.bind("consumer" + std::to_string(j), sw.consumer_telemetry(j));
         }
         cm.commit(current_case());
       }

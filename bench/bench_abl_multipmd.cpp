@@ -38,7 +38,7 @@ void run_case(benchmark::State& state, std::size_t pmds, Make make) {
       for (std::size_t i = 0; i < res.per_pmd.size(); ++i) {
         cm.bind("pmd" + std::to_string(i), res.per_pmd[i]);
       }
-      cm.bind("monitor", sw.monitor_telemetry());
+      cm.bind("monitor", sw.consumer_telemetry(0));
       cm.bind("reservoir", reservoir);
       cm.commit(current_case());
     }

@@ -197,13 +197,10 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
       cm.add_value("pmd_skew", res.pmd_skew());
       cm.add_value("min_pmd_mpps", res.min_pmd_mpps());
       cm.add_value("max_pmd_mpps", res.max_pmd_mpps());
-      if (sharded_consumers) {
-        for (std::size_t i = 0; i < sw.shard_monitor_count(); ++i) {
-          cm.bind("consumer" + std::to_string(i),
-                  sw.shard_monitor_telemetry(i));
-        }
-      } else {
-        cm.bind("monitor", sw.monitor_telemetry());
+      for (std::size_t j = 0; j < sw.consumer_count(); ++j) {
+        cm.bind(sharded_consumers ? "consumer" + std::to_string(j)
+                                  : std::string("monitor"),
+                sw.consumer_telemetry(j));
       }
       cm.commit(current_case());
     }

@@ -119,8 +119,21 @@ void record_case_metrics(const std::string& prefix, const T& obj) {
   cm.commit(current_case());
 }
 
+/// Write `json` to `path` ("-" = stdout), warning on stderr — naming the
+/// variable that chose the path — when the document could not be written
+/// whole.
+inline void write_document(const char* var, const std::string& path,
+                           const std::string& json) {
+  if (!telemetry::write_text_file(path, json)) {
+    std::fprintf(stderr, "%s: cannot write %s\n", var, path.c_str());
+  }
+}
+
 /// Write the blob to QMAX_METRICS_OUT; no-op when unset. Safe to call
-/// multiple times (later calls rewrite the file with more cases).
+/// multiple times (later calls rewrite the file with more cases). The
+/// flight recorder's stage latencies are bound into the global registry
+/// for the collection, so they appear in "global" as trace.stage.<stage>
+/// histograms (ns) whenever the build has QMAX_TELEMETRY on.
 inline void write_metrics_blob() {
   if (!metrics_enabled()) return;
   std::string json = "{\"telemetry_enabled\": ";
@@ -136,45 +149,25 @@ inline void write_metrics_blob() {
     json += metrics;
   }
   json += "}, \"global\": ";
-  json += telemetry::metrics_json_object(
-      telemetry::Registry::instance().collect());
-  // Flight-recorder stage latencies (ns). Keys are always present so
-  // bench_snapshot.py and the CI validators need no gate; all-zero
-  // histograms unless built with -DQMAX_TRACE=ON.
-  json += ", \"trace_enabled\": ";
-  json += telemetry::kTraceEnabled ? "true" : "false";
-  json += ", \"trace_stages\": ";
-  json += telemetry::trace_stages_json_object();
+  {
+    std::vector<telemetry::Registration> stages;
+    telemetry::bind_trace_stage_metrics(telemetry::Registry::instance(),
+                                        stages);
+    json += telemetry::metrics_json_object(
+        telemetry::Registry::instance().collect());
+  }
   json += "}\n";
-  const std::string& path = common::metrics_out();
-  if (path == "-") {
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "QMAX_METRICS_OUT: cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  write_document("QMAX_METRICS_OUT", common::metrics_out(), json);
 }
 
 /// Write the flight-recorder Chrome trace to QMAX_TRACE_OUT; no-op when
-/// unset. Valid-but-empty document unless built with -DQMAX_TRACE=ON.
+/// unset. Valid-but-empty document unless built with -DQMAX_TELEMETRY=ON.
 /// Call with worker threads joined (end of main), the trace layer's
 /// export contract.
 inline void write_trace_blob() {
   const std::string& path = common::trace_out();
   if (path.empty()) return;
-  if (path == "-") {
-    const std::string json = telemetry::trace_json();
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    return;
-  }
-  if (!telemetry::write_trace_file(path)) {
-    std::fprintf(stderr, "QMAX_TRACE_OUT: cannot write %s\n", path.c_str());
-  }
+  write_document("QMAX_TRACE_OUT", path, telemetry::trace_json());
 }
 
 /// Standard main-body for the figure benches: run google-benchmark, then

@@ -7,7 +7,7 @@ Usage:
 
 WORKDIR holds the per-bench QMAX_METRICS_OUT blobs (tab01.json,
 abl_batch.json, abl_sharding.json; optionally trace_metrics.json from a
--DQMAX_TRACE=ON build) plus config.json provenance. Without --out, the
+-DQMAX_TELEMETRY=ON build) plus config.json provenance. Without --out, the
 snapshot number is 1 + the highest existing BENCH_<n>.json at the root.
 
 Snapshot schema ("qmax-bench-snapshot/1"):
@@ -22,8 +22,9 @@ Snapshot schema ("qmax-bench-snapshot/1"):
 Throughput keys are flat so scripts/bench_compare.py diffs them with a
 plain dict walk. Only bench-computed rate/ratio gauges are kept (names
 matching mpps / gain / speedup / vs_) — structure-internal counters stay
-in the raw blobs. Stage latencies come from the traced leg's
-"trace_stages" histograms; all-zero stages are dropped.
+in the raw blobs. Stage latencies come from the instrumented leg's
+"trace.stage.<stage>" histograms in "global", keyed by bare stage name;
+all-zero stages are dropped.
 
 Stdlib only.
 """
@@ -46,6 +47,7 @@ BENCH_BLOBS = [
 
 THROUGHPUT_RE = re.compile(r"(mpps|gain|speedup|vs_)", re.IGNORECASE)
 LATENCY_FIELDS = ("count", "mean", "p50", "p99", "p999", "max")
+STAGE_PREFIX = "trace.stage."
 
 
 def load_json(path):
@@ -77,15 +79,16 @@ def collect_stage_latency(workdir):
     if not os.path.exists(path):
         return {}
     blob = load_json(path)
-    if not blob.get("trace_enabled"):
-        print("note: trace_metrics.json from a QMAX_TRACE=OFF build; "
+    if not blob.get("telemetry_enabled"):
+        print("note: trace_metrics.json from a QMAX_TELEMETRY=OFF build; "
               "no stage latencies recorded", file=sys.stderr)
         return {}
     out = {}
-    for stage, h in sorted(blob.get("trace_stages", {}).items()):
-        if h.get("count", 0) == 0:
+    for name, h in sorted(blob.get("global", {}).items()):
+        if not name.startswith(STAGE_PREFIX) or h.get("count", 0) == 0:
             continue
-        out[stage] = {k: h[k] for k in LATENCY_FIELDS if k in h}
+        out[name[len(STAGE_PREFIX):]] = {k: h[k] for k in LATENCY_FIELDS
+                                         if k in h}
     return out
 
 

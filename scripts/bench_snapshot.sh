@@ -8,14 +8,14 @@
 # scripts/bench_snapshot.py (n = 1 + the highest existing snapshot).
 #
 # Usage:
-#   scripts/bench_snapshot.sh [build-dir] [trace-build-dir]
+#   scripts/bench_snapshot.sh [build-dir] [instrumented-build-dir]
 #
-# build-dir        default build       — throughput numbers
-# trace-build-dir  optional            — a tree configured with
-#                  -DQMAX_TRACE=ON; when given, bench_abl_sharding runs
-#                  again from it to capture per-stage latency histograms
-#                  and a Chrome trace (flight recorder). Throughput is
-#                  never taken from the traced build.
+# build-dir               default build — throughput numbers
+# instrumented-build-dir  optional      — a tree configured with
+#                  -DQMAX_TELEMETRY=ON; when given, bench_abl_sharding
+#                  runs again from it to capture per-stage latency
+#                  histograms and a Chrome trace (flight recorder).
+#                  Throughput is never taken from the instrumented build.
 #
 # Environment:
 #   QMAX_SNAPSHOT_SCALE    stream-scale for the suite   (default 0.05)
@@ -32,7 +32,7 @@ cd "$(dirname "$0")/.."
 ROOT="$PWD"
 
 BUILD_DIR="${1:-build}"
-TRACE_BUILD_DIR="${2:-}"
+INSTRUMENTED_DIR="${2:-}"
 WORK="${QMAX_SNAPSHOT_WORKDIR:-bench_results/snapshot}"
 mkdir -p "$WORK"
 
@@ -62,16 +62,17 @@ QMAX_METRICS_OUT="$WORK/abl_concurrent.json" \
 QMAX_METRICS_OUT="$WORK/abl_snapshot.json" \
   "$BUILD_DIR/bench/bench_abl_snapshot" | tee "$WORK/abl_snapshot.txt"
 
-# Optional traced leg: stage latencies + Chrome trace, throughput ignored.
-if [ -n "$TRACE_BUILD_DIR" ]; then
-  if [ ! -x "$TRACE_BUILD_DIR/bench/bench_abl_sharding" ]; then
-    echo "error: $TRACE_BUILD_DIR/bench/bench_abl_sharding not found" >&2
+# Optional instrumented leg: stage latencies + Chrome trace, throughput
+# ignored.
+if [ -n "$INSTRUMENTED_DIR" ]; then
+  if [ ! -x "$INSTRUMENTED_DIR/bench/bench_abl_sharding" ]; then
+    echo "error: $INSTRUMENTED_DIR/bench/bench_abl_sharding not found" >&2
     exit 2
   fi
-  echo "== traced leg ($TRACE_BUILD_DIR) =="
+  echo "== instrumented leg ($INSTRUMENTED_DIR) =="
   QMAX_METRICS_OUT="$WORK/trace_metrics.json" \
   QMAX_TRACE_OUT="$WORK/trace.json" \
-    "$TRACE_BUILD_DIR/bench/bench_abl_sharding" --smoke \
+    "$INSTRUMENTED_DIR/bench/bench_abl_sharding" --smoke \
     > "$WORK/trace_leg.txt"
   echo "flight-recorder trace: $WORK/trace.json (load in ui.perfetto.dev)"
 fi

@@ -11,7 +11,7 @@
 //   QMAX_TRACE_OUT    — path for the Chrome trace-event JSON the flight
 //                       recorder exports on exit ("-" = stdout; unset =
 //                       no trace; empty document unless built with
-//                       -DQMAX_TRACE=ON)
+//                       -DQMAX_TELEMETRY=ON)
 #pragma once
 
 #include <cstdint>

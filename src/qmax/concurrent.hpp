@@ -123,29 +123,21 @@ class ConcurrentQMax {
 
   /// Gated instruments, written only by the maintenance owner (the
   /// atomic flag serializes owners, so plain counters are race-free) or
-  /// on the quiescent query path.
+  /// on the quiescent query path. Counts every build exports (items
+  /// ingested, Ψ publishes, CAS retries) are plain fields instead.
   struct Telemetry {
     telemetry::Counter handoff_batches;     // buffers ingested by the owner
-    telemetry::Counter handoff_items;       // items those buffers carried
-    telemetry::Counter psi_publishes;       // global-Ψ raises
-    telemetry::Counter psi_cas_retries;     // CAS attempts lost to peers
     telemetry::Counter drain_queries;       // query-side full drains
     telemetry::Histogram buffer_occupancy;  // items per ingested buffer
 
     template <typename Fn>
     void visit(Fn&& fn) const {
       fn("handoff_batches", handoff_batches);
-      fn("handoff_items", handoff_items);
-      fn("psi_publishes", psi_publishes);
-      fn("psi_cas_retries", psi_cas_retries);
       fn("drain_queries", drain_queries);
       fn("buffer_occupancy", buffer_occupancy);
     }
     void reset() noexcept {
       handoff_batches.reset();
-      handoff_items.reset();
-      psi_publishes.reset();
-      psi_cas_retries.reset();
       drain_queries.reset();
       buffer_occupancy.reset();
     }
@@ -526,7 +518,6 @@ class ConcurrentQMax {
     [[maybe_unused]] telemetry::Span trace_span(
         telemetry::Stage::kBufferHandoff);
     tm_.handoff_batches.inc();
-    tm_.handoff_items.inc(b.items.size());
     tm_.buffer_occupancy.record(b.items.size());
     ingested_ += b.items.size();
     core_.add_batch(std::span<const EntryT>(b.items));
@@ -551,12 +542,8 @@ class ConcurrentQMax {
     if (!(t > global_psi_.load(std::memory_order_relaxed))) return;
     [[maybe_unused]] telemetry::Span trace_span(telemetry::Stage::kPsiCas);
     std::uint64_t retries = 0;
-    if (core::atomic_fetch_max(global_psi_, t, &retries)) {
-      ++psi_publishes_;
-      tm_.psi_publishes.inc();
-    }
+    if (core::atomic_fetch_max(global_psi_, t, &retries)) ++psi_publishes_;
     psi_cas_retries_ += retries;
-    tm_.psi_cas_retries.inc(retries);
   }
 
   /// Full drain (writers quiescent): pending stack plus every writer's

@@ -685,13 +685,11 @@ struct SampledMaintenance {
   };
 
   /// Gated instruments (no-ops unless -DQMAX_TELEMETRY=ON). The
-  /// sampled/fallback split is additionally kept in plain counters
-  /// (sampled_passes_/exact_fallbacks_) so tests and benches can read it
-  /// in any build.
+  /// sampled/fallback split is not among them: it lives in the plain
+  /// counters sampled_passes_/exact_fallbacks_, which every build reads
+  /// and exports.
   struct Telemetry {
     telemetry::Counter maintenance_passes;  // all maintenance sweeps
-    telemetry::Counter sampled_evictions;   // pivot estimate accepted
-    telemetry::Counter exact_fallbacks;     // slack miss -> partition_top
     telemetry::Counter evicted_items;
     telemetry::Counter batch_calls;         // add_batch invocations
     telemetry::Counter prefilter_rejected;  // items screened out by Ψ
@@ -702,8 +700,6 @@ struct SampledMaintenance {
     template <typename Fn>
     void visit(Fn&& fn) const {
       fn("maintenance_passes", maintenance_passes);
-      fn("sampled_evictions", sampled_evictions);
-      fn("exact_fallbacks", exact_fallbacks);
       fn("evicted_items", evicted_items);
       fn("batch_calls", batch_calls);
       fn("prefilter_rejected", prefilter_rejected);
@@ -713,8 +709,6 @@ struct SampledMaintenance {
     }
     void reset() noexcept {
       maintenance_passes.reset();
-      sampled_evictions.reset();
-      exact_fallbacks.reset();
       evicted_items.reset();
       batch_calls.reset();
       prefilter_rejected.reset();
@@ -779,12 +773,10 @@ struct SampledMaintenance {
             telemetry::Stage::kSampledPivot);
         if (try_sampled_evict()) {
           ++sampled_passes_;
-          tm_.sampled_evictions.inc();
           return;
         }
       }
       ++exact_fallbacks_;
-      tm_.exact_fallbacks.inc();
       [[maybe_unused]] telemetry::Span fallback_span(
           telemetry::Stage::kExactFallback);
       exact_evict();

@@ -79,18 +79,15 @@ class ShardedQMax {
   /// broadcast counters below are plain fields instead, one writer each).
   struct Telemetry {
     telemetry::Counter merge_queries;     // merge-on-query invocations
-    telemetry::Counter merge_skipped_clean;  // cached merge reused as-is
     telemetry::Histogram merge_gathered;  // shard survivors concatenated
 
     template <typename Fn>
     void visit(Fn&& fn) const {
       fn("merge_queries", merge_queries);
-      fn("merge_skipped_clean", merge_skipped_clean);
       fn("merge_gathered", merge_gathered);
     }
     void reset() noexcept {
       merge_queries.reset();
-      merge_skipped_clean.reset();
       merge_gathered.reset();
     }
   };
@@ -164,14 +161,13 @@ class ShardedQMax {
   /// an unchanged count means the shard's live set is unchanged. When no
   /// shard advanced since the last merge, the cached result is replayed
   /// without re-gathering S·q candidates or re-running partition_top
-  /// (telemetry: merge_skipped_clean). Dashboards and watchdogs that poll
+  /// (counted in merges_skipped_clean()). Dashboards and watchdogs that poll
   /// query() between bursts pay O(q) copy instead of O(S·q log) merge.
   void query_into(std::vector<EntryT>& out) const {
     [[maybe_unused]] telemetry::Span trace_span(
         telemetry::Stage::kMergeQuery);
     tm_.merge_queries.inc();
     if (merge_clean()) {
-      tm_.merge_skipped_clean.inc();
       ++merges_skipped_clean_;
       out.insert(out.end(), merge_cache_.begin(), merge_cache_.end());
       return;

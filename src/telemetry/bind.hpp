@@ -6,8 +6,10 @@
 // need no registration code here):
 //
 //   * Always-on statistics the structures already expose as accessors
-//     (processed(), admitted(), hits(), backpressure_stalls, ...) or as
-//     plain aggregate fields (RunResult). These register in every build.
+//     (processed(), admitted(), hits(), sampled_passes(),
+//     psi_publishes(), ...) or as plain aggregate fields (RunResult,
+//     backpressure_stalls, ...). These register in every build; a count
+//     the algorithm keeps anyway is never duplicated as an instrument.
 //     Since every reservoir variant is a policy composition over
 //     core::ReservoirCore, the core's accessors (and its maintenance
 //     policy's telem()) are bound once here and inherited by all of them.
@@ -102,6 +104,20 @@ void bind_metrics_into(Registry& reg, const std::string& prefix, const T& obj,
   }
   if constexpr (requires { { obj.late_selections() } -> std::convertible_to<std::uint64_t>; }) {
     counter("late_selections", [&obj] { return obj.late_selections(); });
+  }
+  // Plain counters the algorithms keep anyway (SampledQMax's pivot
+  // outcomes, ConcurrentQMax's Ψ publishing, ShardedQMax's merge cache).
+  if constexpr (requires { { obj.sampled_passes() } -> std::convertible_to<std::uint64_t>; }) {
+    counter("sampled_passes", [&obj] { return obj.sampled_passes(); });
+    counter("exact_fallbacks", [&obj] { return obj.exact_fallbacks(); });
+  }
+  if constexpr (requires { { obj.psi_publishes() } -> std::convertible_to<std::uint64_t>; }) {
+    counter("psi_publishes", [&obj] { return obj.psi_publishes(); });
+    counter("psi_cas_retries", [&obj] { return obj.psi_cas_retries(); });
+  }
+  if constexpr (requires { { obj.merges_skipped_clean() } -> std::convertible_to<std::uint64_t>; }) {
+    counter("merges_skipped_clean",
+            [&obj] { return obj.merges_skipped_clean(); });
   }
 
   // Cache statistics (LRFU variants).

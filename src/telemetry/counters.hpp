@@ -1,7 +1,9 @@
 // Zero-overhead-when-disabled telemetry instruments: counters and gauges.
 //
 // Every instrument has two definitions selected by the QMAX_TELEMETRY
-// compile-time gate (the CMake option of the same name):
+// compile-time gate (the CMake option of the same name; the one switch of
+// the whole layer, which also turns on the flight recorder's spans in
+// trace.hpp / span.hpp):
 //
 //   ON  — real state. Single-writer instruments (Counter, Gauge, MaxGauge)
 //         are plain integers: they live inside per-thread hot structures

@@ -119,14 +119,15 @@ inline std::string snapshot_json(const Registry& reg = Registry::instance()) {
   return out;
 }
 
-/// Write a snapshot to a file; returns false on IO failure.
-inline bool write_snapshot_file(const std::string& path,
-                                const Registry& reg = Registry::instance()) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+/// Write a document (a metrics blob, a Chrome trace) to `path`, "-"
+/// meaning stdout. Returns false unless every byte was written and the
+/// file closed cleanly, so callers can report a truncated document.
+inline bool write_text_file(const std::string& path, const std::string& text) {
+  const bool to_stdout = path == "-";
+  std::FILE* f = to_stdout ? stdout : std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  const std::string json = snapshot_json(reg);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool closed = to_stdout ? std::fflush(f) == 0 : std::fclose(f) == 0;
   return ok && closed;
 }
 

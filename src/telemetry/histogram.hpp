@@ -1,16 +1,11 @@
 // HDR-style log2-bucketed histogram for per-operation work accounting:
 // selection steps per add(), batch-evict sizes, monitor-ring pop-batch
-// sizes, and the trace layer's per-stage latencies.
+// sizes, and the flight recorder's per-stage latencies.
 //
-// Two layers:
-//   BasicHistogram — the real implementation, ALWAYS compiled. The trace
-//     flight recorder (trace.hpp) needs real stage-latency histograms even
-//     in builds without QMAX_TELEMETRY, so the state cannot live behind
-//     that gate.
-//   Histogram — the gated hot-path instrument used inside measured
-//     structures. With QMAX_TELEMETRY on it is an alias for
-//     BasicHistogram; off, it is an empty class whose record() compiles
-//     away (test_telemetry.cpp static_asserts emptiness).
+// Like every instrument (counters.hpp), Histogram has two definitions
+// selected by the QMAX_TELEMETRY gate: real state when it is on, an
+// empty class whose record() compiles away when it is off
+// (test_telemetry.cpp static_asserts emptiness).
 //
 // Bucketing: value v lands in bucket bit_width(v), i.e. bucket 0 holds
 // exactly {0} and bucket b >= 1 holds [2^(b-1), 2^b). Quantiles are
@@ -43,11 +38,31 @@ struct HistogramSnapshot {
   }
 };
 
-class BasicHistogram {
- public:
+/// The bucket geometry, identical in both gate states (an empty base, so
+/// the disabled Histogram stays an empty type).
+struct Log2Buckets {
   /// 0 plus one bucket per bit of a 64-bit value.
   static constexpr std::size_t kBuckets = 65;
 
+  /// Bucket index of a value: 0 for 0, otherwise 1 + floor(log2 v).
+  [[nodiscard]] static constexpr std::size_t bucket_of(
+      std::uint64_t v) noexcept {
+    return static_cast<std::size_t>(std::bit_width(v));
+  }
+
+  /// Largest value a bucket can hold: 0, 1, 3, 7, 15, ...
+  [[nodiscard]] static constexpr std::uint64_t bucket_upper(
+      std::size_t b) noexcept {
+    if (b == 0) return 0;
+    if (b >= 64) return ~std::uint64_t{0};
+    return (std::uint64_t{1} << b) - 1;
+  }
+};
+
+#if QMAX_TELEMETRY_ENABLED
+
+class Histogram : public Log2Buckets {
+ public:
   void record(std::uint64_t v) noexcept {
     ++buckets_[bucket_of(v)];
     ++count_;
@@ -63,8 +78,8 @@ class BasicHistogram {
   }
 
   /// Fold another histogram into this one (bucket-wise sum, max of maxes);
-  /// the trace exporter merges per-thread stage histograms this way.
-  void merge(const BasicHistogram& other) noexcept {
+  /// the flight recorder merges per-thread stage histograms this way.
+  void merge(const Histogram& other) noexcept {
     for (std::size_t b = 0; b < kBuckets; ++b) {
       buckets_[b] += other.buckets_[b];
     }
@@ -113,20 +128,6 @@ class BasicHistogram {
     max_ = 0;
   }
 
-  /// Bucket index of a value: 0 for 0, otherwise 1 + floor(log2 v).
-  [[nodiscard]] static constexpr std::size_t bucket_of(
-      std::uint64_t v) noexcept {
-    return static_cast<std::size_t>(std::bit_width(v));
-  }
-
-  /// Largest value a bucket can hold: 0, 1, 3, 7, 15, ...
-  [[nodiscard]] static constexpr std::uint64_t bucket_upper(
-      std::size_t b) noexcept {
-    if (b == 0) return 0;
-    if (b >= 64) return ~std::uint64_t{0};
-    return (std::uint64_t{1} << b) - 1;
-  }
-
  private:
   std::uint64_t buckets_[kBuckets] = {};
   std::uint64_t count_ = 0;
@@ -134,16 +135,10 @@ class BasicHistogram {
   std::uint64_t max_ = 0;
 };
 
-#if QMAX_TELEMETRY_ENABLED
-
-using Histogram = BasicHistogram;
-
 #else  // QMAX_TELEMETRY_ENABLED
 
-class Histogram {
+class Histogram : public Log2Buckets {
  public:
-  static constexpr std::size_t kBuckets = 65;
-
   void record(std::uint64_t) noexcept {}
   [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
   [[nodiscard]] std::uint64_t sum() const noexcept { return 0; }
@@ -155,17 +150,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t quantile(double) const noexcept { return 0; }
   [[nodiscard]] HistogramSnapshot snapshot() const noexcept { return {}; }
   void reset() noexcept {}
-
-  [[nodiscard]] static constexpr std::size_t bucket_of(
-      std::uint64_t v) noexcept {
-    return static_cast<std::size_t>(std::bit_width(v));
-  }
-  [[nodiscard]] static constexpr std::uint64_t bucket_upper(
-      std::size_t b) noexcept {
-    if (b == 0) return 0;
-    if (b >= 64) return ~std::uint64_t{0};
-    return (std::uint64_t{1} << b) - 1;
-  }
 };
 
 #endif  // QMAX_TELEMETRY_ENABLED

@@ -4,20 +4,20 @@
 //   telemetry::Span sp(telemetry::Stage::kAdd);     // times its scope
 //   telemetry::instant(telemetry::Stage::kOverload, "ladder:enter_shed");
 //
-// With QMAX_TRACE off, Span is an empty type with a constexpr constructor
-// and instant() is an inline no-op: the instrumentation compiles to
-// nothing (static_asserted in tests/test_trace.cpp). With it on, a Span
-// costs two steady-clock reads plus one ring store and one histogram
-// bucket increment on destruction — cheap enough for per-add use while
-// tracing, but tracing builds are for observation, not for the paper's
-// throughput tables.
+// With QMAX_TELEMETRY off, Span is an empty type with a constexpr
+// constructor and instant() is an inline no-op: the instrumentation
+// compiles to nothing (static_asserted in tests/test_telemetry.cpp). With
+// it on, a Span costs two steady-clock reads plus one ring store and one
+// histogram bucket increment on destruction — cheap enough for per-add
+// use while observing, but instrumented builds are for observation, not
+// for the paper's throughput tables.
 #pragma once
 
 #include "telemetry/trace.hpp"
 
 namespace qmax::telemetry {
 
-#if QMAX_TRACE_ENABLED
+#if QMAX_TELEMETRY_ENABLED
 
 class Span {
  public:
@@ -41,7 +41,7 @@ inline void instant(Stage s, const char* name) noexcept {
   recorder().instant(s, name);
 }
 
-#else  // QMAX_TRACE_ENABLED
+#else  // QMAX_TELEMETRY_ENABLED
 
 class Span {
  public:
@@ -50,6 +50,6 @@ class Span {
 
 inline void instant(Stage, const char*) noexcept {}
 
-#endif  // QMAX_TRACE_ENABLED
+#endif  // QMAX_TELEMETRY_ENABLED
 
 }  // namespace qmax::telemetry

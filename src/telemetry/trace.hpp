@@ -1,17 +1,17 @@
 // Flight-recorder tracing: per-thread event rings + per-stage latency
-// histograms, gated by QMAX_TRACE (a CMake option mirroring
-// QMAX_TELEMETRY).
+// histograms, live under the QMAX_TELEMETRY gate (counters.hpp):
 //
 //   ON  — every instrumented stage (span.hpp) appends one fixed-size
 //         Event to the calling thread's ring and records the span's
-//         duration into that thread's per-stage BasicHistogram. The ring
-//         is a bounded overwrite-oldest buffer (a flight recorder: the
-//         last N events survive, the distant past is discarded), so
-//         steady-state tracing never allocates and never blocks.
+//         duration into that thread's per-stage Histogram. The ring is a
+//         bounded overwrite-oldest buffer of kRingEvents events (a flight
+//         recorder: the last events survive, the distant past is
+//         discarded), so steady-state tracing never allocates and never
+//         blocks.
 //   OFF — span.hpp's Span is an empty type and instant() is an inline
 //         no-op; nothing in this header is instantiated on any hot path
 //         and the tracing layer compiles to nothing (static_asserted in
-//         tests/test_trace.cpp).
+//         tests/test_telemetry.cpp).
 //
 // Threading contract. Each ThreadRecorder is written by exactly one
 // thread (acquired through a thread_local handle). Export — collecting
@@ -32,22 +32,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "telemetry/histogram.hpp"
 
-#if defined(QMAX_TRACE) && QMAX_TRACE
-#define QMAX_TRACE_ENABLED 1
-#else
-#define QMAX_TRACE_ENABLED 0
-#endif
-
 namespace qmax::telemetry {
-
-inline constexpr bool kTraceEnabled = QMAX_TRACE_ENABLED == 1;
 
 /// The span taxonomy: every instrumented hot-path stage. Kept stable —
 /// stage names are the keys of the exported stage-latency histograms and
@@ -103,7 +94,11 @@ inline constexpr std::size_t kStageCount =
   return "?";
 }
 
-#if QMAX_TRACE_ENABLED
+#if QMAX_TELEMETRY_ENABLED
+
+/// Events retained per thread (32 B each: a 256 KiB ring per traced
+/// thread). A power of two, so the ring index is a mask.
+inline constexpr std::size_t kRingEvents = 8192;
 
 /// One recorded event. `name` must have static storage duration (stage
 /// names and the ladder-transition literals qualify); dur_ns == 0 marks
@@ -125,21 +120,6 @@ namespace trace_detail {
   return t0;
 }
 
-[[nodiscard]] inline std::size_t ring_capacity_from_env() noexcept {
-  // QMAX_TRACE_RING_CAP: events retained per thread, rounded up to a
-  // power of two. Read directly (not via common/env.hpp) so the telemetry
-  // layer keeps zero dependencies outside itself.
-  std::size_t want = 8192;
-  if (const char* v = std::getenv("QMAX_TRACE_RING_CAP");
-      v != nullptr && *v != '\0') {
-    const long parsed = std::strtol(v, nullptr, 10);
-    if (parsed > 0) want = static_cast<std::size_t>(parsed);
-  }
-  std::size_t cap = 64;
-  while (cap < want) cap <<= 1;
-  return cap;
-}
-
 }  // namespace trace_detail
 
 /// Nanoseconds since the trace epoch.
@@ -155,8 +135,7 @@ namespace trace_detail {
 /// the export contract.
 class ThreadRecorder {
  public:
-  ThreadRecorder(std::uint32_t tid, std::size_t capacity_pow2)
-      : buf_(capacity_pow2), mask_(capacity_pow2 - 1), tid_(tid) {}
+  explicit ThreadRecorder(std::uint32_t tid) : buf_(kRingEvents), tid_(tid) {}
 
   ThreadRecorder(const ThreadRecorder&) = delete;
   ThreadRecorder& operator=(const ThreadRecorder&) = delete;
@@ -177,21 +156,19 @@ class ThreadRecorder {
   /// Append the retained events, oldest first, to `out`.
   void collect(std::vector<Event>& out) const {
     const std::uint64_t end = head_;
-    const std::uint64_t begin =
-        end > buf_.size() ? end - buf_.size() : 0;
+    const std::uint64_t begin = end > kRingEvents ? end - kRingEvents : 0;
     for (std::uint64_t i = begin; i < end; ++i) {
-      out.push_back(buf_[i & mask_]);
+      out.push_back(buf_[i & (kRingEvents - 1)]);
     }
   }
 
-  [[nodiscard]] const BasicHistogram& stage_hist(Stage s) const noexcept {
+  [[nodiscard]] const Histogram& stage_hist(Stage s) const noexcept {
     return stage_ns_[static_cast<std::size_t>(s)];
   }
   [[nodiscard]] std::uint32_t tid() const noexcept { return tid_; }
   [[nodiscard]] std::uint64_t events_recorded() const noexcept {
     return head_;
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
 
   void reset() noexcept {
     head_ = 0;
@@ -200,15 +177,14 @@ class ThreadRecorder {
 
  private:
   void push(const Event& e) noexcept {
-    buf_[head_ & mask_] = e;
+    buf_[head_ & (kRingEvents - 1)] = e;
     ++head_;
   }
 
   std::vector<Event> buf_;
   std::uint64_t head_ = 0;  // total events ever pushed
-  std::size_t mask_;
   std::uint32_t tid_;
-  BasicHistogram stage_ns_[kStageCount];
+  Histogram stage_ns_[kStageCount];
 };
 
 /// Owns every ThreadRecorder in the process. Recorders outlive their
@@ -231,8 +207,7 @@ class TraceRegistry {
       free_.pop_back();
       return r;
     }
-    all_.push_back(std::make_unique<ThreadRecorder>(
-        next_tid_++, trace_detail::ring_capacity_from_env()));
+    all_.push_back(std::make_unique<ThreadRecorder>(next_tid_++));
     return all_.back().get();
   }
 
@@ -252,9 +227,9 @@ class TraceRegistry {
   }
 
   /// Stage histogram merged across every recorder.
-  [[nodiscard]] BasicHistogram merged_stage(Stage s) const {
+  [[nodiscard]] Histogram merged_stage(Stage s) const {
     std::lock_guard<std::mutex> lock(mu_);
-    BasicHistogram h;
+    Histogram h;
     for (const auto& r : all_) h.merge(r->stage_hist(s));
     return h;
   }
@@ -307,6 +282,6 @@ struct TlsHandle {
   return *handle.rec;
 }
 
-#endif  // QMAX_TRACE_ENABLED
+#endif  // QMAX_TELEMETRY_ENABLED
 
 }  // namespace qmax::telemetry

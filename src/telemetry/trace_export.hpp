@@ -6,8 +6,9 @@
 // chrome://tracing and https://ui.perfetto.dev. Spans are "X" (complete)
 // events with microsecond ts/dur; ladder transitions and other markers
 // are "i" (instant) events; one "M" metadata event per recorder names its
-// thread. Always compiled: with QMAX_TRACE off the document is valid but
-// carries no events (and says so in otherData), so bench harness and CI
+// thread. Always compiled: with QMAX_TELEMETRY off the document is valid
+// but carries no events (and says so in otherData, under the same
+// "telemetry_enabled" flag as the metrics blob), so bench harness and CI
 // code need no gate of their own.
 //
 // Call sites must only export with recording threads quiescent — the
@@ -23,63 +24,20 @@
 
 namespace qmax::telemetry {
 
-/// (stage name, merged snapshot) for every stage, in Stage order. All
-/// zeros when tracing is off — keys stay stable either way.
-[[nodiscard]] inline std::vector<std::pair<const char*, HistogramSnapshot>>
-trace_stage_snapshots() {
-  std::vector<std::pair<const char*, HistogramSnapshot>> out;
-  out.reserve(kStageCount);
+/// Register every stage histogram as "trace.stage.<stage>" in `reg`
+/// (handles appended to `regs`): the one export path of the stage
+/// latencies, read through the ordinary metric registry. With the gate
+/// off, registers nothing.
+inline void bind_trace_stage_metrics(
+    [[maybe_unused]] Registry& reg,
+    [[maybe_unused]] std::vector<Registration>& regs) {
+#if QMAX_TELEMETRY_ENABLED
   for (std::size_t i = 0; i < kStageCount; ++i) {
     const Stage s = static_cast<Stage>(i);
-#if QMAX_TRACE_ENABLED
-    out.emplace_back(stage_name(s),
-                     TraceRegistry::instance().merged_stage(s).snapshot());
-#else
-    out.emplace_back(stage_name(s), HistogramSnapshot{});
-#endif
+    regs.push_back(reg.add_histogram(
+        std::string("trace.stage.") + stage_name(s),
+        [s] { return TraceRegistry::instance().merged_stage(s).snapshot(); }));
   }
-  return out;
-}
-
-/// `{"add": {histogram...}, "maintenance": {...}, ...}` — ns units.
-[[nodiscard]] inline std::string trace_stages_json_object() {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, snap] : trace_stage_snapshots()) {
-    if (!first) out += ", ";
-    first = false;
-    MetricSample s;
-    s.kind = MetricKind::kHistogram;
-    s.hist = snap;
-    out += '"';
-    out += name;
-    out += "\": ";
-    out += metric_json(s);
-  }
-  out += "}";
-  return out;
-}
-
-/// Register every stage histogram as "<prefix>.<stage>" in `reg` (handles
-/// appended to `regs`), folding trace latencies into the ordinary metric
-/// export. With tracing off, registers nothing.
-inline void bind_trace_stage_metrics(Registry& reg,
-                                     std::vector<Registration>& regs,
-                                     const std::string& prefix = "trace.stage") {
-#if QMAX_TRACE_ENABLED
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    const Stage s = static_cast<Stage>(i);
-    std::string name = prefix;
-    name += '.';
-    name += stage_name(s);
-    regs.push_back(reg.add_histogram(std::move(name), [s] {
-      return TraceRegistry::instance().merged_stage(s).snapshot();
-    }));
-  }
-#else
-  (void)reg;
-  (void)regs;
-  (void)prefix;
 #endif
 }
 
@@ -99,7 +57,7 @@ namespace trace_detail_export {
 /// The full Chrome trace document.
 [[nodiscard]] inline std::string trace_json() {
   std::string out = "{\"traceEvents\": [";
-#if QMAX_TRACE_ENABLED
+#if QMAX_TELEMETRY_ENABLED
   bool first = true;
   auto comma = [&] {
     if (!first) out += ",";
@@ -118,8 +76,8 @@ namespace trace_detail_export {
   TraceRegistry::instance().for_each_recorder([&](const ThreadRecorder& r) {
     std::vector<Event> events;
     events.reserve(static_cast<std::size_t>(
-        r.events_recorded() < r.capacity() ? r.events_recorded()
-                                           : r.capacity()));
+        r.events_recorded() < kRingEvents ? r.events_recorded()
+                                          : kRingEvents));
     r.collect(events);
     for (const Event& e : events) {
       comma();
@@ -143,20 +101,10 @@ namespace trace_detail_export {
   out += "\n";
 #endif
   out += "], \"displayTimeUnit\": \"ns\", \"otherData\": ";
-  out += "{\"source\": \"qmax flight recorder\", \"trace_enabled\": ";
-  out += kTraceEnabled ? "true" : "false";
+  out += "{\"source\": \"qmax flight recorder\", \"telemetry_enabled\": ";
+  out += kEnabled ? "true" : "false";
   out += "}}\n";
   return out;
-}
-
-/// Write the trace document to a file; returns false on IO failure.
-inline bool write_trace_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = trace_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
-  return ok && closed;
 }
 
 }  // namespace qmax::telemetry

@@ -206,11 +206,7 @@ class MultiPmdSwitch {
   template <typename Consumer>
   MultiRunResult forward_monitored(std::span<const trace::PacketRecord> packets,
                                    Consumer&& consume) {
-    return run_monitored(packets, 1,
-                         [&](std::size_t) -> MonitorTelemetry& {
-                           return mon_tm_;
-                         },
-                         consume);
+    return run_monitored(packets, 1, consume);
   }
 
   /// Sharded measurement pipeline: one consumer thread PER ring instead
@@ -224,14 +220,7 @@ class MultiPmdSwitch {
   template <typename Consumer>
   MultiRunResult forward_sharded(std::span<const trace::PacketRecord> packets,
                                  Consumer&& consume) {
-    // One MonitorTelemetry per ring: the instruments are single-writer
-    // plain fields, so concurrent consumers must never share a pack.
-    grow(shard_mon_tm_, pmds_.size());
-    return run_monitored(packets, pmds_.size(),
-                         [&](std::size_t j) -> MonitorTelemetry& {
-                           return *shard_mon_tm_[j];
-                         },
-                         consume);
+    return run_monitored(packets, pmds_.size(), consume);
   }
 
   /// Concurrent measurement pipeline: M consumer threads over N rings,
@@ -254,46 +243,22 @@ class MultiPmdSwitch {
     const std::size_t m =
         consumer_threads == 0 ? 1 : (consumer_threads < n ? consumer_threads
                                                           : n);
-    // One MonitorTelemetry per consumer thread (not per ring): the
-    // instruments are single-writer plain fields.
-    grow(conc_mon_tm_, m);
-    return run_monitored(packets, m,
-                         [&](std::size_t j) -> MonitorTelemetry& {
-                           return *conc_mon_tm_[j];
-                         },
-                         consume);
+    return run_monitored(packets, m, consume);
   }
 
-  /// Consumer-side instruments across all rings, accumulated over runs.
-  [[nodiscard]] const MonitorTelemetry& monitor_telemetry() const noexcept {
-    return mon_tm_;
+  /// Consumer-side instruments, one pack per consumer thread j of the
+  /// monitored runs (forward_monitored's single monitor is entry 0),
+  /// accumulated over runs. Empty until the first monitored run; entry j
+  /// is written only by consumer j.
+  [[nodiscard]] std::size_t consumer_count() const noexcept {
+    return consumer_tm_.size();
   }
-  void reset_monitor_telemetry() noexcept { mon_tm_.reset(); }
-
-  /// Per-ring consumer instruments from forward_sharded runs (empty until
-  /// the first such run; entry i is written only by consumer i).
-  [[nodiscard]] std::size_t shard_monitor_count() const noexcept {
-    return shard_mon_tm_.size();
-  }
-  [[nodiscard]] const MonitorTelemetry& shard_monitor_telemetry(
-      std::size_t i) const {
-    return *shard_mon_tm_.at(i);
-  }
-  void reset_shard_monitor_telemetry() noexcept {
-    for (auto& tm : shard_mon_tm_) tm->reset();
-  }
-
-  /// Per-consumer instruments from forward_concurrent runs (empty until
-  /// the first such run; entry j is written only by consumer thread j).
-  [[nodiscard]] std::size_t concurrent_monitor_count() const noexcept {
-    return conc_mon_tm_.size();
-  }
-  [[nodiscard]] const MonitorTelemetry& concurrent_monitor_telemetry(
+  [[nodiscard]] const MonitorTelemetry& consumer_telemetry(
       std::size_t j) const {
-    return *conc_mon_tm_.at(j);
+    return *consumer_tm_.at(j);
   }
-  void reset_concurrent_monitor_telemetry() noexcept {
-    for (auto& tm : conc_mon_tm_) tm->reset();
+  void reset_consumer_telemetry() noexcept {
+    for (auto& tm : consumer_tm_) tm->reset();
   }
 
   /// Forward without monitoring (the vanilla baseline).
@@ -304,13 +269,6 @@ class MultiPmdSwitch {
   }
 
  private:
-  static void grow(std::vector<std::unique_ptr<MonitorTelemetry>>& packs,
-                   std::size_t count) {
-    while (packs.size() < count) {
-      packs.push_back(std::make_unique<MonitorTelemetry>());
-    }
-  }
-
   /// Runs the PMD threads over `packets` and `alongside()` on the calling
   /// thread meanwhile; returns once every PMD has finished, with
   /// res.seconds set. PMD i hashes slice i into lists_[q * n + i] for
@@ -354,12 +312,17 @@ class MultiPmdSwitch {
 
   /// The one monitored pipeline: m consumer threads over the n rings,
   /// consumer j draining rings i ≡ j (mod m) into `consume` and
-  /// reporting into tm_of(j). Rings are built by the first call and
-  /// reused: every call returns with every ring drained.
-  template <typename TmOf, typename Consumer>
+  /// reporting into consumer_tm_[j]. Rings and telemetry packs are built
+  /// by the first call that needs them and reused: every call returns
+  /// with every ring drained.
+  template <typename Consumer>
   MultiRunResult run_monitored(std::span<const trace::PacketRecord> packets,
-                               std::size_t m, TmOf&& tm_of,
-                               Consumer& consume) {
+                               std::size_t m, Consumer& consume) {
+    // One pack per consumer: the instruments are single-writer plain
+    // fields, so concurrent consumers must never share one.
+    while (consumer_tm_.size() < m) {
+      consumer_tm_.push_back(std::make_unique<MonitorTelemetry>());
+    }
     const std::size_t n = pmds_.size();
     while (rings_.size() < n) {
       rings_.push_back(std::make_unique<SpscRing<MonitorRecord>>(
@@ -382,7 +345,7 @@ class MultiPmdSwitch {
       for (std::size_t j = 0; j < m; ++j) {
         consumers.emplace_back([&, j] {
           MonitorRecord batch[64];
-          MonitorTelemetry& tm = tm_of(j);
+          MonitorTelemetry& tm = *consumer_tm_[j];
           common::ThreadCpuStopwatch cpu;  // read at busy/idle edges only
           bool busy = false;
           double busy_s = 0.0;
@@ -451,9 +414,7 @@ class MultiPmdSwitch {
   std::vector<std::unique_ptr<VirtualSwitch>> pmds_;
   std::vector<RxIndexList> lists_;  // n × n, queue-major
   std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings_;
-  [[no_unique_address]] MonitorTelemetry mon_tm_;
-  std::vector<std::unique_ptr<MonitorTelemetry>> shard_mon_tm_;
-  std::vector<std::unique_ptr<MonitorTelemetry>> conc_mon_tm_;
+  std::vector<std::unique_ptr<MonitorTelemetry>> consumer_tm_;
 };
 
 }  // namespace qmax::vswitch

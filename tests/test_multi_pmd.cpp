@@ -269,7 +269,7 @@ TEST(MultiPmd, ShardedConsumersReceiveEveryRecordExactlyOnce) {
   ASSERT_EQ(res.consumer_busy_seconds.size(), 3u);
   EXPECT_GT(res.modeled_consumer_mpps(), 0.0);
   // Per-ring consumer telemetry exists for each ring after a sharded run.
-  EXPECT_EQ(sw.shard_monitor_count(), 3u);
+  EXPECT_EQ(sw.consumer_count(), 3u);
 }
 
 TEST(MultiPmd, ShardedEndToEndMatchesOracle) {
@@ -321,7 +321,7 @@ TEST(MultiPmd, ConcurrentConsumersReceiveEveryRecordExactlyOnce) {
   EXPECT_EQ(res.total_drained(), 90'000u);
   ASSERT_EQ(res.consumer_busy_seconds.size(), 2u);
   EXPECT_GT(res.modeled_consumer_mpps(), 0.0);
-  EXPECT_EQ(sw.concurrent_monitor_count(), 2u);
+  EXPECT_EQ(sw.consumer_count(), 2u);
 }
 
 TEST(MultiPmd, ConcurrentEndToEndMatchesOracle) {

@@ -1,6 +1,7 @@
 // Tests for the telemetry layer: the compile-time gate, the log2
-// histogram, the named-metric registry, the JSON exporter, and the
-// duck-typed binders over the instrumented structures.
+// histogram, the named-metric registry, the JSON exporters, the
+// duck-typed binders over the instrumented structures, and the flight
+// recorder (spans, per-thread rings, the Chrome trace export).
 //
 // The suite compiles (and must pass) under both gate states; assertions
 // on recorded values are #if-gated, everything else — registry naming,
@@ -10,6 +11,8 @@
 #include "telemetry/export.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
+#include "telemetry/span.hpp"
+#include "telemetry/trace_export.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,12 +22,15 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "cache/lrfu_qmax.hpp"
 #include "common/random.hpp"
+#include "qmax/concurrent.hpp"
 #include "qmax/qmax.hpp"
+#include "qmax/sampled_qmax.hpp"
 #include "qmax/sharded.hpp"
 #include "trace/synthetic.hpp"
 #include "vswitch/vswitch.hpp"
@@ -43,8 +49,9 @@ static_assert(sizeof(tel::PaddedCounter) == tel::kCacheLineBytes);
 static_assert(sizeof(tel::PaddedGauge) == tel::kCacheLineBytes);
 static_assert(alignof(tel::PaddedCounter) == tel::kCacheLineBytes);
 #else
-// OFF (the default): every instrument is an empty type — call sites
-// compile away and hosts pay nothing via [[no_unique_address]].
+// OFF (the default): every instrument and the span type are empty — call
+// sites compile away, hosts pay nothing via [[no_unique_address]], and
+// the instrumented hot paths carry no tracing.
 static_assert(!tel::kEnabled);
 static_assert(std::is_empty_v<tel::Counter>);
 static_assert(std::is_empty_v<tel::Gauge>);
@@ -52,7 +59,30 @@ static_assert(std::is_empty_v<tel::MaxGauge>);
 static_assert(std::is_empty_v<tel::PaddedCounter>);
 static_assert(std::is_empty_v<tel::PaddedGauge>);
 static_assert(std::is_empty_v<tel::Histogram>);
+static_assert(std::is_empty_v<tel::Span>);
 #endif
+
+// Stage names are export keys (trace.stage.<stage> metrics, Chrome "cat"
+// fields, bench_snapshot.py matching) — locked here, renames are breaking.
+static_assert(std::string_view(tel::stage_name(tel::Stage::kAdd)) == "add");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kAddBatch)) ==
+              "add_batch");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kMaintenance)) ==
+              "maintenance");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kPartitionTop)) ==
+              "partition_top");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kPsiPublish)) ==
+              "psi_publish");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kPsiFold)) ==
+              "psi_fold");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kMergeQuery)) ==
+              "merge_query");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kRingPushStall)) ==
+              "ring_push_stall");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kRingDrain)) ==
+              "ring_drain");
+static_assert(std::string_view(tel::stage_name(tel::Stage::kOverload)) ==
+              "overload");
 
 TEST(TelemetryGate, DisabledInstrumentsReadZero) {
   // Valid in both modes; in the OFF build this pins the no-op contract.
@@ -192,17 +222,17 @@ TEST(Registry, RegistrationIsRaii) {
 
 // ---- JSON export -----------------------------------------------------
 //
-// A miniature JSON reader sufficient for our exporter's fixed shape
-// (objects, strings, numbers, bools): it walks the document and records
-// every key path. Malformed input fails the walk.
+// Minimal JSON walker for the exporters' documents (metrics blobs and the
+// Chrome trace): objects, arrays, strings, numbers, bools. Records every
+// object key in order; malformed input fails the walk.
 
-struct MiniJson {
-  explicit MiniJson(const std::string& str) : s(str) {}
+struct TraceJson {
+  explicit TraceJson(const std::string& str) : s(str) {}
 
   const std::string& s;
   std::size_t i = 0;
   bool ok = true;
-  std::vector<std::string> keys;  // every object key seen, in order
+  std::vector<std::string> keys;
 
   void ws() {
     while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
@@ -243,6 +273,8 @@ struct MiniJson {
     const char c = s[i];
     if (c == '{') {
       object();
+    } else if (c == '[') {
+      array();
     } else if (c == '"') {
       string();
     } else if (c == 't') {
@@ -260,6 +292,25 @@ struct MiniJson {
       }
     } else {
       ok = false;
+    }
+  }
+  void array() {
+    if (!eat('[')) return;
+    ws();
+    if (i < s.size() && s[i] == ']') {
+      ++i;
+      return;
+    }
+    for (;;) {
+      value();
+      if (!ok) return;
+      ws();
+      if (i < s.size() && s[i] == ',') {
+        ++i;
+        continue;
+      }
+      eat(']');
+      return;
     }
   }
   void object() {
@@ -318,7 +369,7 @@ TEST(JsonExport, SnapshotRoundTrips) {
   auto r3 = reg.add_histogram("qmax.steps", [hs] { return hs; });
 
   const std::string json = tel::snapshot_json(reg);
-  MiniJson p{json};
+  TraceJson p{json};
   ASSERT_TRUE(p.parse()) << json;
   EXPECT_TRUE(contains(p.keys, "telemetry_enabled"));
   EXPECT_TRUE(contains(p.keys, "metrics"));
@@ -338,7 +389,7 @@ TEST(JsonExport, SamplerTakesSnapshotsOnDemand) {
   EXPECT_TRUE(sampler.samples().empty());
   sampler.sample_now();
   ASSERT_EQ(sampler.samples().size(), 1u);
-  MiniJson p{sampler.samples()[0]};
+  TraceJson p{sampler.samples()[0]};
   ASSERT_TRUE(p.parse());
   EXPECT_TRUE(contains(p.keys, "ticks"));
 }
@@ -424,7 +475,7 @@ TEST(Bind, TenPlusMetricsSpanQmaxCacheAndSwitch) {
   EXPECT_GT(by_name.at("vswitch.ring_capacity").gauge, 0.0);
 
   const std::string json = tel::snapshot_json(reg);
-  MiniJson p{json};
+  TraceJson p{json};
   ASSERT_TRUE(p.parse()) << json;
   EXPECT_TRUE(contains(p.keys, "vswitch.ring_occupancy_max"));
 
@@ -467,7 +518,7 @@ TEST(Bind, ShardedQMaxExportsStableKeys) {
   EXPECT_EQ(by_name.at("sharded.processed").counter, 10'000u);
   EXPECT_GE(by_name.at("sharded.live").gauge, 64.0);
   const std::string json = tel::snapshot_json(reg);
-  MiniJson p{json};
+  TraceJson p{json};
   ASSERT_TRUE(p.parse()) << json;
   EXPECT_TRUE(contains(p.keys, "sharded.admitted"));
 }
@@ -489,5 +540,165 @@ TEST(Bind, RingGaugesSurfaceThroughRunResult) {
   EXPECT_GE(res.ring_occupancy_peak_frac(), 0.0);
   EXPECT_LE(res.ring_occupancy_peak_frac(), 1.0);
 }
+
+// Counts the algorithms keep in plain fields export in every build under
+// one key each, reading exactly what their accessors read: no gated twin
+// counts the same event.
+TEST(Bind, PlainCountsExportInEveryBuild) {
+  qmax::common::Xoshiro256 rng(5);
+  qmax::SampledQMax<> sampled(256, 0.25, 64);  // forced to sample
+  ASSERT_TRUE(sampled.sampling_enabled());
+  qmax::ConcurrentQMax<qmax::QMax<>> concurrent(64, {}, 32);
+  qmax::ShardedQMax<qmax::QMax<>> sharded(2, 64);
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    const double v = rng.uniform();
+    sampled.add(i, v);
+    concurrent.add(i, v);
+    sharded.add(i % 2, i, v);
+  }
+  EXPECT_EQ(concurrent.query().size(), 64u);
+  EXPECT_EQ(sharded.query().size(), 64u);
+  EXPECT_EQ(sharded.query().size(), 64u);  // clean: served from the cache
+  EXPECT_GT(sampled.sampled_passes(), 0u);
+  EXPECT_GT(concurrent.psi_publishes(), 0u);
+  EXPECT_EQ(sharded.merges_skipped_clean(), 1u);
+
+  tel::Registry reg;
+  std::vector<tel::Registration> regs;
+  tel::bind_metrics_into(reg, "sampled", sampled, regs);
+  tel::bind_metrics_into(reg, "concurrent", concurrent, regs);
+  tel::bind_metrics_into(reg, "sharded", sharded, regs);
+  std::map<std::string, tel::MetricSample> by_name;
+  for (const auto& s : reg.collect()) by_name.emplace(s.name, s);
+  EXPECT_EQ(by_name.at("sampled.sampled_passes").counter,
+            sampled.sampled_passes());
+  EXPECT_EQ(by_name.at("sampled.exact_fallbacks").counter,
+            sampled.exact_fallbacks());
+  EXPECT_EQ(by_name.at("concurrent.psi_publishes").counter,
+            concurrent.psi_publishes());
+  EXPECT_EQ(by_name.at("concurrent.psi_cas_retries").counter,
+            concurrent.psi_cas_retries());
+  EXPECT_EQ(by_name.at("sharded.merges_skipped_clean").counter,
+            sharded.merges_skipped_clean());
+  for (const auto& [name, sample] : by_name) {
+    EXPECT_EQ(name.find('#'), std::string::npos) << name << " bound twice";
+  }
+}
+
+// ---- Flight recorder (telemetry/trace.hpp) ---------------------------
+
+// Both gate states: the export is a well-formed catapult document with
+// the envelope keys, and says which mode produced it under the metrics
+// blob's flag.
+TEST(FlightRecorder, TraceJsonIsWellFormedEitherMode) {
+  const std::string json = tel::trace_json();
+  TraceJson p{json};
+  EXPECT_TRUE(p.parse()) << json.substr(0, 200);
+  EXPECT_TRUE(contains(p.keys, "traceEvents"));
+  EXPECT_TRUE(contains(p.keys, "displayTimeUnit"));
+  EXPECT_TRUE(contains(p.keys, "otherData"));
+  const std::string flag = std::string("\"telemetry_enabled\": ") +
+                           (tel::kEnabled ? "true" : "false");
+  EXPECT_NE(json.find(flag), std::string::npos);
+}
+
+// Stage histograms reach the metric registry, every stage in Stage
+// order, only when the gate is on; the binder is a silent no-op otherwise.
+TEST(FlightRecorder, StageMetricsBindMatchesGate) {
+  tel::Registry reg;
+  std::vector<tel::Registration> regs;
+  tel::bind_trace_stage_metrics(reg, regs);
+  EXPECT_EQ(regs.size(), tel::kEnabled ? tel::kStageCount : 0u);
+  if (tel::kEnabled) {
+    const auto samples = reg.collect();
+    ASSERT_EQ(samples.size(), tel::kStageCount);
+    EXPECT_EQ(samples.front().name, "trace.stage.add");
+    EXPECT_EQ(samples.back().name, "trace.stage.psi_cas");
+  }
+}
+
+#if QMAX_TELEMETRY_ENABLED
+
+TEST(FlightRecorder, SpanRecordsRingEventAndHistogram) {
+  auto& reg = tel::TraceRegistry::instance();
+  reg.reset();
+  { tel::Span span(tel::Stage::kPartitionTop); }
+  tel::instant(tel::Stage::kOverload, "ladder:test_marker");
+
+  EXPECT_EQ(reg.merged_stage(tel::Stage::kPartitionTop).snapshot().count, 1u);
+  // Instants mark the histogram-free stages: no duration recorded.
+  EXPECT_EQ(reg.merged_stage(tel::Stage::kOverload).snapshot().count, 0u);
+
+  bool saw_span = false, saw_instant = false;
+  for (const auto& e : reg.collect_events()) {
+    if (e.stage == tel::Stage::kPartitionTop && e.dur_ns >= 1) {
+      saw_span = true;
+    }
+    if (e.stage == tel::Stage::kOverload && e.dur_ns == 0 &&
+        std::string_view(e.name) == "ladder:test_marker") {
+      saw_instant = true;
+    }
+  }
+  EXPECT_TRUE(saw_span);
+  EXPECT_TRUE(saw_instant);
+}
+
+// The instrumented reservoir emits spans on its real hot paths; the ring
+// is overwrite-oldest (bounded) while the histograms keep every sample.
+TEST(FlightRecorder, InstrumentedReservoirFillsStagesAndRingIsBounded) {
+  auto& reg = tel::TraceRegistry::instance();
+  reg.reset();
+
+  qmax::QMax<> r(100, 0.5);
+  qmax::common::Xoshiro256 rng(7);
+  const std::size_t n = 20'000;
+  for (std::size_t i = 0; i < n; ++i) {
+    r.add(i, rng.uniform());
+  }
+  std::uint64_t ids[8];
+  double vals[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    ids[i] = n + i;
+    vals[i] = rng.uniform();
+  }
+  r.add_batch(ids, vals, 8);
+
+  EXPECT_EQ(reg.merged_stage(tel::Stage::kAdd).snapshot().count, n);
+  EXPECT_GE(reg.merged_stage(tel::Stage::kMaintenance).snapshot().count, 1u);
+  EXPECT_GE(reg.merged_stage(tel::Stage::kAddBatch).snapshot().count, 1u);
+
+  // Every histogram sample survived; the ring retained at most its
+  // capacity per recorder (flight-recorder semantics).
+  std::size_t total_capacity = 0;
+  std::uint64_t total_recorded = 0;
+  reg.for_each_recorder([&](const tel::ThreadRecorder& rec) {
+    total_capacity += tel::kRingEvents;
+    total_recorded += rec.events_recorded();
+  });
+  EXPECT_GE(total_recorded, static_cast<std::uint64_t>(n));
+  EXPECT_LE(reg.collect_events().size(), total_capacity);
+}
+
+TEST(FlightRecorder, ChromeExportHasCatapultEventShape) {
+  auto& reg = tel::TraceRegistry::instance();
+  reg.reset();
+  {
+    tel::Span span(tel::Stage::kMergeQuery);
+  }
+  tel::instant(tel::Stage::kOverload, "ladder:export_check");
+
+  const std::string json = tel::trace_json();
+  TraceJson p{json};
+  EXPECT_TRUE(p.parse());
+  // One thread-name metadata row, complete spans, sourced instants.
+  EXPECT_NE(json.find("\"name\": \"thread_name\", \"ph\": \"M\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"X\", \"dur\": "), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"i\", \"s\": \"t\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\": \"merge_query\""), std::string::npos);
+  EXPECT_NE(json.find("ladder:export_check"), std::string::npos);
+}
+
+#endif  // QMAX_TELEMETRY_ENABLED
 
 }  // namespace
