@@ -36,19 +36,21 @@ std::vector<std::size_t> fig14_qs() {
 template <typename R, typename MakeR>
 double run_ps_on_switch(std::size_t q, double line, MakeR make) {
   PrioritySampler<R> ps(q, make());
-  return run_switch_monitored(traffic(), line,
-                              [&ps](const vswitch::MonitorRecord& rec) {
-                                ps.add(rec.packet_id, double(rec.length));
-                              });
+  return run_switch_monitored(
+      traffic(), line,
+      [&ps](std::size_t, const vswitch::MonitorRecord& rec) {
+        ps.add(rec.packet_id, double(rec.length));
+      });
 }
 
 template <typename R, typename MakeR>
 double run_nwhh_on_switch(std::size_t q, double line, MakeR make) {
   Nmp<R> nmp(q, make());
-  return run_switch_monitored(traffic(), line,
-                              [&nmp](const vswitch::MonitorRecord& rec) {
-                                nmp.observe(rec.packet_id, rec.src_ip);
-                              });
+  return run_switch_monitored(
+      traffic(), line,
+      [&nmp](std::size_t, const vswitch::MonitorRecord& rec) {
+        nmp.observe(rec.packet_id, rec.src_ip);
+      });
 }
 
 void register_all() {

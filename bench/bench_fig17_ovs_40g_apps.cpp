@@ -41,51 +41,57 @@ void register_all() {
     std::snprintf(name, sizeof name, "fig17ab/ps/qmax(g=0.25)/q=%zu", q);
     register_mpps(name, [&pkts, line, q] {
       PrioritySampler<PsQMax> ps(q, PsQMax(q + 1, 0.25));
-      return run_switch_monitored(pkts, line,
-                                  [&ps](const vswitch::MonitorRecord& r) {
-                                    ps.add(r.packet_id, double(r.length));
-                                  });
+      return run_switch_monitored(
+          pkts, line,
+          [&ps](std::size_t, const vswitch::MonitorRecord& r) {
+            ps.add(r.packet_id, double(r.length));
+          });
     });
     std::snprintf(name, sizeof name, "fig17ab/ps/heap/q=%zu", q);
     register_mpps(name, [&pkts, line, q] {
       PrioritySampler<PsHeap> ps(q, PsHeap(q + 1));
-      return run_switch_monitored(pkts, line,
-                                  [&ps](const vswitch::MonitorRecord& r) {
-                                    ps.add(r.packet_id, double(r.length));
-                                  });
+      return run_switch_monitored(
+          pkts, line,
+          [&ps](std::size_t, const vswitch::MonitorRecord& r) {
+            ps.add(r.packet_id, double(r.length));
+          });
     });
     std::snprintf(name, sizeof name, "fig17ab/ps/skiplist/q=%zu", q);
     register_mpps(name, [&pkts, line, q] {
       PrioritySampler<PsSkip> ps(q, PsSkip(q + 1));
-      return run_switch_monitored(pkts, line,
-                                  [&ps](const vswitch::MonitorRecord& r) {
-                                    ps.add(r.packet_id, double(r.length));
-                                  });
+      return run_switch_monitored(
+          pkts, line,
+          [&ps](std::size_t, const vswitch::MonitorRecord& r) {
+            ps.add(r.packet_id, double(r.length));
+          });
     });
 
     std::snprintf(name, sizeof name, "fig17cd/nwhh/qmax(g=0.25)/k=%zu", q);
     register_mpps(name, [&pkts, line, q] {
       Nmp<NwQMax> nmp(q, NwQMax(q, 0.25));
-      return run_switch_monitored(pkts, line,
-                                  [&nmp](const vswitch::MonitorRecord& r) {
-                                    nmp.observe(r.packet_id, r.src_ip);
-                                  });
+      return run_switch_monitored(
+          pkts, line,
+          [&nmp](std::size_t, const vswitch::MonitorRecord& r) {
+            nmp.observe(r.packet_id, r.src_ip);
+          });
     });
     std::snprintf(name, sizeof name, "fig17cd/nwhh/heap/k=%zu", q);
     register_mpps(name, [&pkts, line, q] {
       Nmp<NwHeap> nmp(q, NwHeap(q));
-      return run_switch_monitored(pkts, line,
-                                  [&nmp](const vswitch::MonitorRecord& r) {
-                                    nmp.observe(r.packet_id, r.src_ip);
-                                  });
+      return run_switch_monitored(
+          pkts, line,
+          [&nmp](std::size_t, const vswitch::MonitorRecord& r) {
+            nmp.observe(r.packet_id, r.src_ip);
+          });
     });
     std::snprintf(name, sizeof name, "fig17cd/nwhh/skiplist/k=%zu", q);
     register_mpps(name, [&pkts, line, q] {
       Nmp<NwSkip> nmp(q, NwSkip(q));
-      return run_switch_monitored(pkts, line,
-                                  [&nmp](const vswitch::MonitorRecord& r) {
-                                    nmp.observe(r.packet_id, r.src_ip);
-                                  });
+      return run_switch_monitored(
+          pkts, line,
+          [&nmp](std::size_t, const vswitch::MonitorRecord& r) {
+            nmp.observe(r.packet_id, r.src_ip);
+          });
     });
   }
 }

@@ -14,7 +14,7 @@
 #include "apps/priority_sampling.hpp"
 #include "qmax/qmax.hpp"
 #include "trace/synthetic.hpp"
-#include "vswitch/vswitch.hpp"
+#include "vswitch/multi_pmd.hpp"
 
 int main(int argc, char** argv) {
   using namespace qmax;
@@ -29,27 +29,28 @@ int main(int argc, char** argv) {
   const auto packets = trace::take_packets(gen, n);
   const double line = trace::line_rate_pps(10.0, 512);
 
-  // Baseline: forwarding only.
-  vswitch::VirtualSwitch vanilla;
+  // Baseline: forwarding only, on one PMD.
+  const vswitch::MultiPmdConfig one_pmd{.pmd_threads = 1};
+  vswitch::MultiPmdSwitch vanilla(one_pmd);
   vanilla.install_default_rules();
-  const auto base = vanilla.forward(packets);
+  const auto base = vanilla.forward(packets).per_pmd[0];
+  const auto& table = vanilla.pmd(0).table();
   std::printf("vanilla switch:   %6.2f Mpps datapath (%llu EMC hits, "
               "%llu classifier hits)\n",
               base.datapath_mpps(),
-              static_cast<unsigned long long>(vanilla.table().emc_hits()),
-              static_cast<unsigned long long>(
-                  vanilla.table().classifier_hits()));
+              static_cast<unsigned long long>(table.emc_hits()),
+              static_cast<unsigned long long>(table.classifier_hits()));
 
   // Monitored: Priority Sampling (k = 4096) fed from the ring.
   const std::size_t k = 4'096;
   using R = QMax<WeightedKey, double>;
   PrioritySampler<R> sampler(k, R(k + 1, 0.25));
-  vswitch::VirtualSwitch monitored;
+  vswitch::MultiPmdSwitch monitored(one_pmd);
   monitored.install_default_rules();
-  const auto mon = monitored.forward_monitored(
-      packets, [&sampler](const vswitch::MonitorRecord& rec) {
-        sampler.add(rec.packet_id, static_cast<double>(rec.length));
-      });
+  auto sample = [&sampler](std::size_t, const vswitch::MonitorRecord& rec) {
+    sampler.add(rec.packet_id, static_cast<double>(rec.length));
+  };
+  const auto mon = monitored.forward_monitored(packets, sample).per_pmd[0];
   std::printf("with monitoring:  %6.2f Mpps datapath "
               "(%.1f%% overhead, %llu ring stalls)\n\n",
               mon.datapath_mpps(),

@@ -42,16 +42,9 @@ namespace detail {
 template <typename Inst>
 void add_instrument(Registry& reg, std::string name, const Inst& inst,
                     std::vector<Registration>& out) {
-  if constexpr (std::is_same_v<Inst, Counter> ||
-                std::is_same_v<Inst, PaddedCounter>) {
+  if constexpr (std::is_same_v<Inst, Counter>) {
     out.push_back(reg.add_counter(
         std::move(name), [&inst] { return inst.value(); }));
-  } else if constexpr (std::is_same_v<Inst, Gauge> ||
-                       std::is_same_v<Inst, PaddedGauge> ||
-                       std::is_same_v<Inst, MaxGauge>) {
-    out.push_back(reg.add_gauge(std::move(name), [&inst] {
-      return static_cast<double>(inst.value());
-    }));
   } else if constexpr (std::is_same_v<Inst, Histogram>) {
     out.push_back(reg.add_histogram(
         std::move(name), [&inst] { return inst.snapshot(); }));

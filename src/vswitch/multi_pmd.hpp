@@ -3,19 +3,22 @@
 // OVS ... a user-space program reads the packet information from the
 // shared memory blocks").
 //
-// N PMD threads each own a flow table (OVS keeps a per-PMD EMC *and* a
-// per-PMD dpcls) and an SPSC monitor ring. Packets are dispatched to PMDs
-// by RSS (flow-key hash), preserving per-flow ordering: PMD i hashes its
+// This is the one way to run the switch, for any N ≥ 1 PMDs. N PMD
+// threads each own a flow table (OVS keeps a per-PMD EMC *and* a per-PMD
+// dpcls) and an SPSC monitor ring. Packets are dispatched to PMDs by RSS
+// (flow-key hash), preserving per-flow ordering: PMD i hashes its
 // contiguous 1/N slice of the call's packets into per-queue index lists,
 // the PMDs meet at a barrier, and PMD j then forwards queue j by index,
 // slice 0 first, so every flow keeps span order and no packet is copied.
+// With N = 1 (the single-PMD switch of Figures 12-17) every packet maps
+// to queue 0, so the one PMD forwards the span in order without hashing.
 // M measurement threads — the user-space program — drain the rings,
 // consumer j taking rings i ≡ j (mod M); each ring stays
 // single-producer / single-consumer.
 //
-// Throughput semantics match VirtualSwitch: with backpressure on, a slow
-// measurement consumer stalls whichever PMD fills its ring, dragging
-// aggregate switch throughput — now with N producers contending for one
+// Throughput semantics are those of vswitch.hpp: with backpressure on, a
+// slow measurement consumer stalls whichever PMD fills its ring, dragging
+// aggregate switch throughput — with N > 1, N producers contend for one
 // consumer, the regime the paper's q = 10^7 cliffs live in.
 #pragma once
 
@@ -32,6 +35,9 @@
 
 #include "common/hash.hpp"
 #include "common/timer.hpp"
+#include "telemetry/counters.hpp"
+#include "telemetry/histogram.hpp"
+#include "telemetry/span.hpp"
 #include "vswitch/vswitch.hpp"
 
 namespace qmax::vswitch {
@@ -39,12 +45,27 @@ namespace qmax::vswitch {
 struct MultiPmdConfig {
   std::size_t pmd_threads = 2;
   SwitchConfig per_pmd{};
-  /// Dispatch flows with the historical bare `flow_key() % n` instead of
-  /// the mixed fastrange hash. Bare modulo maps structured key material
-  /// (sequential IPs, fixed ports) straight onto PMD indices, so real
-  /// traces land lopsided; kept only so old skew numbers stay
-  /// reproducible.
-  bool legacy_rss_modulo = false;
+};
+
+/// Gated instruments of one measurement consumer thread (no-ops unless
+/// -DQMAX_TELEMETRY=ON). Plain fields written only by that consumer; the
+/// records it drained are RunResult::records_drained of its rings.
+struct MonitorTelemetry {
+  telemetry::Histogram drain_batch;     // records per non-empty pop_batch
+  telemetry::Histogram ring_occupancy;  // occupancy sampled per drain round
+  telemetry::Counter empty_polls;       // rounds that found nothing to drain
+
+  template <typename Fn>
+  void visit(Fn&& fn) const {
+    fn("drain_batch", drain_batch);
+    fn("ring_occupancy", ring_occupancy);
+    fn("empty_polls", empty_polls);
+  }
+  void reset() noexcept {
+    drain_batch.reset();
+    ring_occupancy.reset();
+    empty_polls.reset();
+  }
 };
 
 struct MultiRunResult {
@@ -191,10 +212,8 @@ class MultiPmdSwitch {
   /// well-mixed HIGH bits. Per-flow stability is preserved: the index is
   /// a pure function of the flow key.
   [[nodiscard]] std::size_t rss(const trace::PacketRecord& p) const noexcept {
-    const std::uint64_t key = p.tuple.flow_key();
-    if (cfg_.legacy_rss_modulo) return key % pmds_.size();
     __extension__ using u128 = unsigned __int128;
-    const auto h = static_cast<u128>(common::mix64(key));
+    const auto h = static_cast<u128>(common::mix64(p.tuple.flow_key()));
     return static_cast<std::size_t>((h * pmds_.size()) >> 64);
   }
 
@@ -273,7 +292,8 @@ class MultiPmdSwitch {
   /// thread meanwhile; returns once every PMD has finished, with
   /// res.seconds set. PMD i hashes slice i into lists_[q * n + i] for
   /// each queue q, waits for the others, then forwards queue i — into
-  /// rings_[i] when `done` is set, raising done[i] afterwards.
+  /// rings_[i] when `done` is set, raising done[i] afterwards. A lone PMD
+  /// skips the hashing and forwards the whole span in order.
   template <typename Alongside>
   void run_pmds(std::span<const trace::PacketRecord> packets,
                 std::atomic<bool>* done, MultiRunResult& res,
@@ -291,17 +311,21 @@ class MultiPmdSwitch {
     pmd_threads.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       pmd_threads.emplace_back([&, i] {
-        const std::size_t begin = packets.size() * i / n;
-        const std::size_t end = packets.size() * (i + 1) / n;
-        for (std::size_t q = 0; q < n; ++q) lists_[q * n + i].idx.clear();
-        for (std::size_t k = begin; k < end; ++k) {
-          lists_[rss(packets[k]) * n + i].idx.push_back(
-              static_cast<std::uint32_t>(k));
+        std::span<const RxIndexList> queue;  // empty: the whole span
+        if (n > 1) {
+          const std::size_t begin = packets.size() * i / n;
+          const std::size_t end = packets.size() * (i + 1) / n;
+          for (std::size_t q = 0; q < n; ++q) lists_[q * n + i].idx.clear();
+          for (std::size_t k = begin; k < end; ++k) {
+            lists_[rss(packets[k]) * n + i].idx.push_back(
+                static_cast<std::uint32_t>(k));
+          }
+          hashed.arrive_and_wait();
+          queue = std::span<const RxIndexList>(lists_).subspan(i * n, n);
         }
-        hashed.arrive_and_wait();
-        pmds_[i]->run_datapath(
-            packets, std::span<const RxIndexList>(lists_).subspan(i * n, n),
-            done != nullptr ? rings_[i].get() : nullptr, res.per_pmd[i]);
+        pmds_[i]->run_datapath(packets, queue,
+                               done != nullptr ? rings_[i].get() : nullptr,
+                               res.per_pmd[i]);
         if (done != nullptr) done[i].store(true, std::memory_order_release);
       });
     }
@@ -384,7 +408,6 @@ class MultiPmdSwitch {
               if (occ > occ_max[i]) occ_max[i] = occ;
               tm.drain_batch.record(got);
               tm.ring_occupancy.record(occ);
-              tm.records_drained.inc(got);
               any = true;
             }
             if (any) continue;

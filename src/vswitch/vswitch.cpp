@@ -1,5 +1,9 @@
 #include "vswitch/vswitch.hpp"
 
+#include <thread>
+
+#include "telemetry/span.hpp"
+
 namespace qmax::vswitch {
 
 VirtualSwitch::VirtualSwitch(SwitchConfig cfg)
@@ -22,14 +26,6 @@ void VirtualSwitch::install_default_rules(std::uint32_t buckets) {
     table_.add_rule(mask, match,
                     Action{static_cast<std::uint16_t>(b & 0xFF)});
   }
-}
-
-RunResult VirtualSwitch::forward(std::span<const trace::PacketRecord> packets) {
-  RunResult res;
-  common::Stopwatch sw;
-  pmd_loop(packets, {}, nullptr, res);
-  res.seconds = sw.seconds();
-  return res;
 }
 
 template <typename At>
@@ -66,9 +62,11 @@ void VirtualSwitch::forward_bursts(std::size_t n, At&& at,
   }
 }
 
-void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
-                             std::span<const RxIndexList> queue,
-                             SpscRing<MonitorRecord>* ring, RunResult& res) {
+void VirtualSwitch::run_datapath(std::span<const trace::PacketRecord> packets,
+                                 std::span<const RxIndexList> queue,
+                                 SpscRing<MonitorRecord>* ring,
+                                 RunResult& res) {
+  common::Stopwatch sw;
   GracefulCtx g;
   if (ring != nullptr && cfg_.policy == OverloadPolicy::kGraceful) {
     double frac = cfg_.deescalate_watermark;
@@ -82,7 +80,6 @@ void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
         packets.size(),
         [&](std::size_t k) -> const auto& { return packets[k]; }, ring, g,
         res);
-    return;
   }
   for (const RxIndexList& list : queue) {
     const std::uint32_t* idx = list.idx.data();
@@ -91,6 +88,7 @@ void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
         [&](std::size_t k) -> const auto& { return packets[idx[k]]; }, ring, g,
         res);
   }
+  res.seconds = sw.seconds();
 }
 
 void VirtualSwitch::enqueue_burst(std::size_t n, SpscRing<MonitorRecord>& ring,
@@ -179,6 +177,20 @@ bool VirtualSwitch::shed_below_psi(const MonitorRecord& rec) const noexcept {
   return !(cfg_.record_value(rec) > psi);
 }
 
+bool VirtualSwitch::try_shed(const MonitorRecord& rec, GracefulCtx& g,
+                             RunResult& res) const noexcept {
+  if (g.state == DegradeState::kShedBelowPsi && shed_below_psi(rec)) {
+    ++res.shed_below_psi;
+  } else if (g.state == DegradeState::kShedProbabilistic &&
+             cfg_.shed_period != 0 && ++g.tick % cfg_.shed_period == 0) {
+    ++res.shed_probabilistic;
+  } else {
+    return false;
+  }
+  ++res.records_dropped;
+  return true;
+}
+
 void VirtualSwitch::graceful_enqueue(const MonitorRecord& rec,
                                      SpscRing<MonitorRecord>& ring,
                                      GracefulCtx& g, RunResult& res) {
@@ -190,7 +202,6 @@ void VirtualSwitch::graceful_enqueue(const MonitorRecord& rec,
       // Consumer still frozen: never block behind it.
       ++res.records_dropped;
       ++res.watchdog_drops;
-      ovl_tm_.watchdog_records.inc();
       return;
     }
     // Consumer moved again: resume one level down and fall through.
@@ -201,19 +212,7 @@ void VirtualSwitch::graceful_enqueue(const MonitorRecord& rec,
                        ladder_exit_name(g.state));
     ovl_tm_.deescalations.inc();
   }
-  if (g.state == DegradeState::kShedBelowPsi && shed_below_psi(rec)) {
-    ++res.records_dropped;
-    ++res.shed_below_psi;
-    ovl_tm_.shed_records.inc();
-    return;
-  }
-  if (g.state == DegradeState::kShedProbabilistic && cfg_.shed_period != 0 &&
-      ++g.tick % cfg_.shed_period == 0) {
-    ++res.records_dropped;
-    ++res.shed_probabilistic;
-    ovl_tm_.shed_records.inc();
-    return;
-  }
+  if (try_shed(rec, g, res)) return;
 
   if (ring.try_push(rec)) return;
   // Full ring: spin (bounded) under a single stall span so the whole wait
@@ -244,7 +243,6 @@ void VirtualSwitch::graceful_enqueue(const MonitorRecord& rec,
       g.frozen_spins = 0;
       ++res.records_dropped;
       ++res.watchdog_drops;
-      ovl_tm_.watchdog_records.inc();
       return;
     }
 
@@ -258,19 +256,7 @@ void VirtualSwitch::graceful_enqueue(const MonitorRecord& rec,
       escalate(g, next, res);
       // The freshly entered shed state applies to this record too —
       // otherwise a full ring with a slow consumer still blocks on it.
-      if (g.state == DegradeState::kShedBelowPsi && shed_below_psi(rec)) {
-        ++res.records_dropped;
-        ++res.shed_below_psi;
-        ovl_tm_.shed_records.inc();
-        return;
-      }
-      if (g.state == DegradeState::kShedProbabilistic &&
-          ++g.tick % cfg_.shed_period == 0) {
-        ++res.records_dropped;
-        ++res.shed_probabilistic;
-        ovl_tm_.shed_records.inc();
-        return;
-      }
+      if (try_shed(rec, g, res)) return;
     }
   } while (!ring.try_push(rec));
 }

@@ -1,12 +1,14 @@
 // The virtual switch: a software datapath modelled on the OVS/DPDK
 // userspace pipeline the paper integrates q-MAX into (Section 6.6).
 //
-// A PMD-style poll loop pulls packets in bursts, runs the two-tier flow
-// table lookup (EMC → tuple-space classifier), executes the action, and —
-// when monitoring is attached — stages a MonitorRecord (source IP, packet
-// id, packet size: exactly the fields the paper's OVS patch records) per
-// packet and publishes each burst's records into an SPSC shared-memory
-// ring consumed by a measurement thread.
+// A VirtualSwitch is one PMD: a poll loop that pulls packets in bursts,
+// runs the two-tier flow table lookup (EMC → tuple-space classifier),
+// executes the action, and — when monitoring is attached — stages a
+// MonitorRecord (source IP, packet id, packet size: exactly the fields the
+// paper's OVS patch records) per packet and publishes each burst's records
+// into an SPSC shared-memory ring. MultiPmdSwitch (multi_pmd.hpp) runs
+// n ≥ 1 of them, owns the rings and runs the measurement threads that
+// drain them; the single-PMD switch of Figures 12-17 is n = 1.
 //
 // Throughput semantics: with backpressure enabled (default, matching the
 // paper's observed behaviour) the PMD blocks when the ring is full, so a
@@ -20,14 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/timer.hpp"
 #include "telemetry/counters.hpp"
-#include "telemetry/histogram.hpp"
-#include "telemetry/span.hpp"
 #include "trace/packet.hpp"
 #include "vswitch/flow_table.hpp"
 #include "vswitch/ring_buffer.hpp"
@@ -149,30 +147,6 @@ struct SwitchConfig {
   double (*record_value)(const MonitorRecord&) = nullptr;
 };
 
-/// Gated instruments for the measurement-consumer side (no-ops unless
-/// -DQMAX_TELEMETRY=ON). The drained-records counter is cache-line padded:
-/// it is written by the monitor thread while the PMD thread works nearby.
-struct MonitorTelemetry {
-  telemetry::Histogram drain_batch;     // records per non-empty pop_batch
-  telemetry::Histogram ring_occupancy;  // occupancy sampled per drain round
-  telemetry::Counter empty_polls;       // rounds that found nothing to drain
-  telemetry::PaddedCounter records_drained;
-
-  template <typename Fn>
-  void visit(Fn&& fn) const {
-    fn("drain_batch", drain_batch);
-    fn("ring_occupancy", ring_occupancy);
-    fn("empty_polls", empty_polls);
-    fn("records_drained", records_drained);
-  }
-  void reset() noexcept {
-    drain_batch.reset();
-    ring_occupancy.reset();
-    empty_polls.reset();
-    records_drained.reset();
-  }
-};
-
 /// Gated instruments for the kGraceful overload ladder (no-ops unless
 /// -DQMAX_TELEMETRY=ON); written from the PMD thread only.
 struct OverloadTelemetry {
@@ -181,8 +155,6 @@ struct OverloadTelemetry {
   telemetry::Counter enter_shed_below_psi;
   telemetry::Counter enter_watchdog;
   telemetry::Counter deescalations;            // downward moves (any level)
-  telemetry::Counter shed_records;             // probabilistic + below-Ψ
-  telemetry::Counter watchdog_records;         // dropped while stalled
 
   template <typename Fn>
   void visit(Fn&& fn) const {
@@ -191,8 +163,6 @@ struct OverloadTelemetry {
     fn("enter_shed_below_psi", enter_shed_below_psi);
     fn("enter_watchdog", enter_watchdog);
     fn("deescalations", deescalations);
-    fn("shed_records", shed_records);
-    fn("watchdog_records", watchdog_records);
   }
   void reset() noexcept {
     enter_backpressure.reset();
@@ -200,8 +170,6 @@ struct OverloadTelemetry {
     enter_shed_below_psi.reset();
     enter_watchdog.reset();
     deescalations.reset();
-    shed_records.reset();
-    watchdog_records.reset();
   }
 };
 
@@ -284,93 +252,16 @@ class VirtualSwitch {
   /// measurement interval.
   void install_default_rules(std::uint32_t buckets = 256);
 
-  /// Forward a pre-generated packet vector with no monitoring attached —
-  /// the "vanilla OVS" baseline bar of Figures 12-17.
-  RunResult forward(std::span<const trace::PacketRecord> packets);
-
-  /// Forward with a measurement consumer attached. The consumer runs on
-  /// its own thread (the paper's separate user-space measurement program)
-  /// and receives every MonitorRecord in order. Two consumer shapes are
-  /// accepted: `consume(const MonitorRecord&)` per record, or
-  /// `consume(std::span<const MonitorRecord>)` per drained batch — the
-  /// batch shape hands each ring pop straight to a reservoir's add_batch
-  /// without a per-record call.
-  template <typename Consumer>
-  RunResult forward_monitored(std::span<const trace::PacketRecord> packets,
-                              Consumer&& consume) {
-    SpscRing<MonitorRecord> ring(cfg_.ring_capacity);
-    std::atomic<bool> producer_done{false};
-    RunResult res;
-    // Monitor-side gauges; published into `res` after join (the join is
-    // the synchronisation point, so no atomics are needed).
-    std::uint64_t occ_max = 0;
-    std::uint64_t drain_batches = 0;
-    std::uint64_t drained = 0;
-
-    std::thread monitor([&] {
-      MonitorRecord batch[64];
-      for (;;) {
-        const std::size_t occ = ring.size_approx();
-        const std::size_t n = ring.pop_batch(batch, 64);
-        if (n == 0) {
-          mon_tm_.empty_polls.inc();
-          if (producer_done.load(std::memory_order_acquire) &&
-              ring.empty_approx()) {
-            break;
-          }
-          // Single-core friendliness: let the PMD run instead of spinning.
-          std::this_thread::yield();
-          continue;
-        }
-        ++drain_batches;
-        drained += n;
-        if (occ > occ_max) occ_max = occ;
-        mon_tm_.drain_batch.record(n);
-        mon_tm_.ring_occupancy.record(occ);
-        mon_tm_.records_drained.inc(n);
-        {
-          [[maybe_unused]] telemetry::Span drain_span(
-              telemetry::Stage::kRingDrain);
-          if constexpr (std::is_invocable_v<Consumer&,
-                                            std::span<const MonitorRecord>>) {
-            consume(std::span<const MonitorRecord>(batch, n));
-          } else {
-            for (std::size_t i = 0; i < n; ++i) consume(batch[i]);
-          }
-        }
-      }
-    });
-
-    common::Stopwatch sw;
-    pmd_loop(packets, {}, &ring, res);
-    res.seconds = sw.seconds();
-    producer_done.store(true, std::memory_order_release);
-    monitor.join();
-    res.ring_capacity = ring.capacity();
-    res.ring_occupancy_max = occ_max;
-    res.drain_batches = drain_batches;
-    res.records_drained = drained;
-    return res;
-  }
-
-  /// Run the PMD loop over the packets `queue` indexes, list by list,
-  /// against an externally owned ring (null: unmonitored; no monitor
-  /// thread is spawned). Building block for multi-PMD deployments where
-  /// one measurement program drains several per-PMD rings (see
-  /// multi_pmd.hpp).
+  /// The PMD poll loop: forward the packets `queue` indexes, list by list,
+  /// or all of `packets` in order when `queue` is empty, one rx burst at a
+  /// time, publishing each burst's records into `ring` under the
+  /// configured policy (null: unmonitored). One kGraceful ladder context
+  /// spans the call. Adds the run's counts into `res` and sets res.seconds
+  /// to the loop's wall time. MultiPmdSwitch calls this on each PMD thread
+  /// and runs the consumers that drain the rings.
   void run_datapath(std::span<const trace::PacketRecord> packets,
                     std::span<const RxIndexList> queue,
-                    SpscRing<MonitorRecord>* ring, RunResult& res) {
-    common::Stopwatch sw;
-    pmd_loop(packets, queue, ring, res);
-    res.seconds = sw.seconds();
-  }
-
-  /// Consumer-side instruments, accumulated across monitored runs.
-  [[nodiscard]] const MonitorTelemetry& monitor_telemetry() const noexcept {
-    return mon_tm_;
-  }
-  void reset_monitor_telemetry() noexcept { mon_tm_.reset(); }
+                    SpscRing<MonitorRecord>* ring, RunResult& res);
 
   /// PMD-side overload-ladder instruments (kGraceful runs only).
   [[nodiscard]] const OverloadTelemetry& overload_telemetry() const noexcept {
@@ -388,13 +279,6 @@ class VirtualSwitch {
     std::size_t watermark_slots = 0; // de-escalation occupancy threshold
   };
 
-  /// The PMD poll loop over the packets `queue` indexes, or over all of
-  /// `packets` in order when `queue` is empty. One GracefulCtx spans the
-  /// call. `ring == nullptr` disables monitoring.
-  void pmd_loop(std::span<const trace::PacketRecord> packets,
-                std::span<const RxIndexList> queue,
-                SpscRing<MonitorRecord>* ring, RunResult& res);
-
   /// Forward `n` packets, `at(k)` being the k-th, one rx burst at a time,
   /// staging each burst's records and handing them to enqueue_burst.
   template <typename At>
@@ -410,6 +294,12 @@ class VirtualSwitch {
   void graceful_enqueue(const MonitorRecord& rec, SpscRing<MonitorRecord>& ring,
                         GracefulCtx& g, RunResult& res);
 
+  /// Drop `rec` if the ladder's shed state says so: in kShedBelowPsi a
+  /// record at or below the published Ψ, in kShedProbabilistic every
+  /// shed_period-th record. Returns whether it was dropped.
+  [[nodiscard]] bool try_shed(const MonitorRecord& rec, GracefulCtx& g,
+                              RunResult& res) const noexcept;
+
   void escalate(GracefulCtx& g, DegradeState to, RunResult& res) noexcept;
   void maybe_deescalate(const SpscRing<MonitorRecord>& ring, GracefulCtx& g)
       noexcept;
@@ -418,7 +308,6 @@ class VirtualSwitch {
   SwitchConfig cfg_;
   FlowTable table_;
   UpcallHandler upcall_;
-  [[no_unique_address]] MonitorTelemetry mon_tm_;
   [[no_unique_address]] OverloadTelemetry ovl_tm_;
   std::uint64_t tx_counts_[256] = {};
   std::vector<MonitorRecord> staged_;  // one rx burst's records

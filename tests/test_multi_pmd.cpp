@@ -86,7 +86,8 @@ TEST(MultiPmd, PerRingOrderIsPreserved) {
   // Every record arrives on ring rss(p), in span order. With 3 and 5
   // PMDs the hashing slice boundaries fall at other points of each ring's
   // stream than with 2, so this catches a slice forwarded out of order as
-  // well as a packet forwarded by the wrong PMD.
+  // well as a packet forwarded by the wrong PMD. One PMD takes the
+  // unhashed path, which must keep the whole span's order.
   MinSizePacketGenerator gen(1'000, 3);
   const auto packets = take_packets(gen, 50'000);
   std::unordered_map<std::uint64_t, std::size_t> pos;
@@ -94,8 +95,8 @@ TEST(MultiPmd, PerRingOrderIsPreserved) {
     pos.emplace(packets[k].packet_id, k);
   }
   ASSERT_EQ(pos.size(), packets.size());
-  for (const std::size_t pmds : {std::size_t{2}, std::size_t{3},
-                                 std::size_t{5}}) {
+  for (const std::size_t pmds : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{3}, std::size_t{5}}) {
     MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = pmds});
     sw.install_default_rules();
     std::vector<std::size_t> next(pmds, 0);  // lowest span index allowed
@@ -186,14 +187,10 @@ TEST(MultiPmd, ConsumerBusySecondsArePositiveAndWithinCallWall) {
 }
 
 TEST(MultiPmd, RssDispatchFormulasArePinned) {
-  // Default dispatch is finalizer-mix + Lemire fastrange over the flow
-  // key; the legacy flag reproduces the historical bare modulo exactly.
-  // Pinning both formulas keeps old skew measurements reproducible and
-  // catches accidental dispatch changes (which would silently re-home
-  // every flow).
+  // Dispatch is finalizer-mix + Lemire fastrange over the flow key.
+  // Pinning the formula catches accidental dispatch changes (which would
+  // silently re-home every flow).
   MultiPmdSwitch mixed(MultiPmdConfig{.pmd_threads = 5});
-  MultiPmdSwitch legacy(
-      MultiPmdConfig{.pmd_threads = 5, .legacy_rss_modulo = true});
   CaidaLikeGenerator gen;
   std::vector<std::size_t> mixed_load(5, 0);
   for (int i = 0; i < 20'000; ++i) {
@@ -203,7 +200,6 @@ TEST(MultiPmd, RssDispatchFormulasArePinned) {
     const auto expect_mixed = static_cast<std::size_t>(
         (static_cast<u128>(qmax::common::mix64(key)) * 5) >> 64);
     EXPECT_EQ(mixed.rss(p), expect_mixed);
-    EXPECT_EQ(legacy.rss(p), key % 5);
     ++mixed_load[mixed.rss(p)];
   }
   // The mixed dispatch must not starve any PMD on a realistic trace.

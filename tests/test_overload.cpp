@@ -1,8 +1,9 @@
 // Graceful overload degradation: the three full-ring policies complete
 // under overload, the kGraceful ladder escalates and de-escalates, the
 // watchdog breaks a stalled-consumer deadlock, and shed-below-Ψ mode
-// retains exactly the backpressure run's top q.
-#include "vswitch/vswitch.hpp"
+// retains exactly the backpressure run's top q. Each run is a one-PMD
+// MultiPmdSwitch.
+#include "vswitch/multi_pmd.hpp"
 
 #include <gtest/gtest.h>
 
@@ -38,7 +39,7 @@ struct SlowMonitor {
   std::atomic<double> psi_pub{std::numeric_limits<double>::lowest()};
   int burn = 5'000;
 
-  void operator()(const MonitorRecord& rec) {
+  void operator()(std::size_t, const MonitorRecord& rec) {
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < burn; ++i) sink = sink + rec.length * i;
     reservoir.add(rec.src_ip, record_value(rec));
@@ -65,15 +66,17 @@ TEST(Overload, AllPoliciesCompleteUnderOverload) {
     SwitchConfig cfg;
     cfg.ring_capacity = 256;  // tiny ring: overload builds immediately
     cfg.policy = policy;
-    VirtualSwitch sw(cfg);
+    MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
     sw.install_default_rules();
 
     std::atomic<std::uint64_t> received{0};
-    const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
-      volatile std::uint64_t sink = 0;
-      for (int i = 0; i < 300; ++i) sink = sink + r.length * i;
-      received.fetch_add(1, std::memory_order_relaxed);
-    });
+    const auto run = sw.forward_monitored(
+        packets, [&](std::size_t, const MonitorRecord& r) {
+          volatile std::uint64_t sink = 0;
+          for (int i = 0; i < 300; ++i) sink = sink + r.length * i;
+          received.fetch_add(1, std::memory_order_relaxed);
+        });
+    const RunResult& res = run.per_pmd[0];
     EXPECT_EQ(res.packets, packets.size()) << to_string(DegradeState{});
     EXPECT_EQ(received.load() + res.records_dropped, packets.size())
         << "policy " << static_cast<int>(policy)
@@ -90,24 +93,26 @@ TEST(Overload, GracefulLadderEscalatesAndAccounts) {
   cfg.policy = OverloadPolicy::kGraceful;
   cfg.bp_spin_budget = 32;
   cfg.shed_period = 4;  // probabilistic state enabled
-  VirtualSwitch sw(cfg);
+  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
   sw.install_default_rules();
   MinSizePacketGenerator gen(1'000, 12);
   const auto packets = take_packets(gen, 30'000);
 
   std::atomic<std::uint64_t> received{0};
   bool first = true;  // monitor thread only
-  const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
-    // Hold the first record until the PMD must have filled the ring: a
-    // per-record spin alone is not slow next to an instrumented PMD.
-    if (first) {
-      first = false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 500; ++i) sink = sink + r.length * i;
-    received.fetch_add(1, std::memory_order_relaxed);
-  });
+  const auto run = sw.forward_monitored(
+      packets, [&](std::size_t, const MonitorRecord& r) {
+        // Hold the first record until the PMD must have filled the ring:
+        // a per-record spin alone is not slow next to an instrumented PMD.
+        if (first) {
+          first = false;
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+        volatile std::uint64_t sink = 0;
+        for (int i = 0; i < 500; ++i) sink = sink + r.length * i;
+        received.fetch_add(1, std::memory_order_relaxed);
+      });
+  const RunResult& res = run.per_pmd[0];
 
   EXPECT_EQ(received.load() + res.records_dropped, packets.size());
   EXPECT_GT(res.degrade_transitions, 0u) << "ladder never engaged";
@@ -134,7 +139,7 @@ TEST(Overload, ShedBelowPsiMatchesBackpressureTopQ) {
     SwitchConfig cfg;
     cfg.ring_capacity = 64;
     cfg.policy = OverloadPolicy::kBackpressure;
-    VirtualSwitch sw(cfg);
+    MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
     sw.install_default_rules();
     sw.forward_monitored(packets, std::ref(bp_mon));
   }
@@ -153,9 +158,9 @@ TEST(Overload, ShedBelowPsiMatchesBackpressureTopQ) {
     cfg.shed_period = 0;  // skip probabilistic: only Ψ-safe shedding
     cfg.psi_source = &gr_mon.psi_pub;
     cfg.record_value = &record_value;
-    VirtualSwitch sw(cfg);
+    MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
     sw.install_default_rules();
-    gr_res = sw.forward_monitored(packets, std::ref(gr_mon));
+    gr_res = sw.forward_monitored(packets, std::ref(gr_mon)).per_pmd[0];
   }
 
   EXPECT_EQ(gr_res.shed_probabilistic, 0u);
@@ -197,7 +202,7 @@ TEST(Overload, WatchdogBreaksStalledConsumerDeadlock) {
   cfg.watchdog_spin_budget = 100;
   cfg.psi_source = &never_psi;
   cfg.record_value = [](const MonitorRecord&) { return 1.0; };
-  VirtualSwitch sw(cfg);
+  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
   sw.install_default_rules();
   MinSizePacketGenerator gen(1'000, 14);
   const auto packets = take_packets(gen, 50'000);
@@ -206,12 +211,14 @@ TEST(Overload, WatchdogBreaksStalledConsumerDeadlock) {
   // land inside one pop_batch window, giving the watchdog a multi-second
   // contiguous frozen-cursor stretch even under a loaded scheduler.
   std::atomic<std::uint64_t> received{0};
-  const auto res = sw.forward_monitored(packets, [&](const MonitorRecord&) {
-    if (received.load(std::memory_order_relaxed) < 30) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    received.fetch_add(1, std::memory_order_relaxed);
-  });
+  const auto run = sw.forward_monitored(
+      packets, [&](std::size_t, const MonitorRecord&) {
+        if (received.load(std::memory_order_relaxed) < 30) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+        received.fetch_add(1, std::memory_order_relaxed);
+      });
+  const RunResult& res = run.per_pmd[0];
 
   EXPECT_EQ(res.packets, packets.size());
   EXPECT_GE(res.watchdog_trips, 1u) << "stall never detected";
@@ -226,15 +233,18 @@ TEST(Overload, GracefulIdleConsumerStaysInNormalState) {
   // drops — kGraceful is free when there is no overload.
   SwitchConfig cfg;
   cfg.policy = OverloadPolicy::kGraceful;
-  VirtualSwitch sw(cfg);  // default 64k ring
+  // Default 64k ring.
+  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
   sw.install_default_rules();
   MinSizePacketGenerator gen(1'000, 15);
   const auto packets = take_packets(gen, 20'000);
 
   std::atomic<std::uint64_t> received{0};
-  const auto res = sw.forward_monitored(packets, [&](const MonitorRecord&) {
-    received.fetch_add(1, std::memory_order_relaxed);
-  });
+  const auto run = sw.forward_monitored(
+      packets, [&](std::size_t, const MonitorRecord&) {
+        received.fetch_add(1, std::memory_order_relaxed);
+      });
+  const RunResult& res = run.per_pmd[0];
   EXPECT_EQ(received.load(), packets.size());
   EXPECT_EQ(res.records_dropped, 0u);
   EXPECT_EQ(res.degrade_peak,

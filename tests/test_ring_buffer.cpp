@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "trace/synthetic.hpp"
-#include "vswitch/vswitch.hpp"
+#include "vswitch/multi_pmd.hpp"
 
 namespace {
 
@@ -213,14 +213,16 @@ TEST(SpscRing, DropAndBackpressureAgreeOnAcceptedRecords) {
     SwitchConfig cfg;
     cfg.ring_capacity = 256;
     cfg.policy = policy;
-    VirtualSwitch sw(cfg);
+    MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
     sw.install_default_rules();
     std::atomic<std::uint64_t> received{0};
-    const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
-      volatile std::uint64_t sink = 0;
-      for (int i = 0; i < 300; ++i) sink = sink + r.length * i;
-      received.fetch_add(1, std::memory_order_relaxed);
-    });
+    const auto run = sw.forward_monitored(
+        packets, [&](std::size_t, const MonitorRecord& r) {
+          volatile std::uint64_t sink = 0;
+          for (int i = 0; i < 300; ++i) sink = sink + r.length * i;
+          received.fetch_add(1, std::memory_order_relaxed);
+        });
+    const RunResult& res = run.per_pmd[0];
     EXPECT_EQ(received.load(), res.records_enqueued())
         << "policy " << static_cast<int>(policy);
     EXPECT_EQ(res.records_drained, res.records_enqueued());

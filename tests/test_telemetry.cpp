@@ -33,7 +33,7 @@
 #include "qmax/sampled_qmax.hpp"
 #include "qmax/sharded.hpp"
 #include "trace/synthetic.hpp"
-#include "vswitch/vswitch.hpp"
+#include "vswitch/multi_pmd.hpp"
 
 namespace {
 
@@ -42,22 +42,13 @@ namespace tel = qmax::telemetry;
 // ---- The compile-time gate -------------------------------------------
 
 #if QMAX_TELEMETRY_ENABLED
-// ON: the padded instruments occupy exactly one cache line each, so
-// per-thread writers never false-share.
 static_assert(tel::kEnabled);
-static_assert(sizeof(tel::PaddedCounter) == tel::kCacheLineBytes);
-static_assert(sizeof(tel::PaddedGauge) == tel::kCacheLineBytes);
-static_assert(alignof(tel::PaddedCounter) == tel::kCacheLineBytes);
 #else
 // OFF (the default): every instrument and the span type are empty — call
 // sites compile away, hosts pay nothing via [[no_unique_address]], and
 // the instrumented hot paths carry no tracing.
 static_assert(!tel::kEnabled);
 static_assert(std::is_empty_v<tel::Counter>);
-static_assert(std::is_empty_v<tel::Gauge>);
-static_assert(std::is_empty_v<tel::MaxGauge>);
-static_assert(std::is_empty_v<tel::PaddedCounter>);
-static_assert(std::is_empty_v<tel::PaddedGauge>);
 static_assert(std::is_empty_v<tel::Histogram>);
 static_assert(std::is_empty_v<tel::Span>);
 #endif
@@ -439,20 +430,24 @@ TEST(Bind, TenPlusMetricsSpanQmaxCacheAndSwitch) {
   qmax::trace::CacheTraceGenerator gen;
   for (int i = 0; i < 5'000; ++i) cache.access(gen.next());
 
-  qmax::vswitch::VirtualSwitch sw;
+  qmax::vswitch::MultiPmdSwitch sw(
+      qmax::vswitch::MultiPmdConfig{.pmd_threads = 1});
   sw.install_default_rules();
   qmax::trace::MinSizePacketGenerator pgen(1'000, 1);
   const auto pkts = qmax::trace::take_packets(pgen, 10'000);
   std::uint64_t consumed = 0;
-  const auto res = sw.forward_monitored(
-      pkts, [&](const qmax::vswitch::MonitorRecord&) { ++consumed; });
+  const auto run = sw.forward_monitored(
+      pkts,
+      [&](std::size_t, const qmax::vswitch::MonitorRecord&) { ++consumed; });
+  const qmax::vswitch::RunResult& res = run.per_pmd[0];
 
   tel::Registry reg;
   std::vector<tel::Registration> regs;
   tel::bind_metrics_into(reg, "qmax", r, regs);
   tel::bind_metrics_into(reg, "cache", cache, regs);
   tel::bind_metrics_into(reg, "vswitch", res, regs);
-  tel::bind_metrics_into(reg, "vswitch.monitor", sw.monitor_telemetry(), regs);
+  tel::bind_metrics_into(reg, "vswitch.monitor", sw.consumer_telemetry(0),
+                         regs);
 
   const auto samples = reg.collect();
   EXPECT_GE(samples.size(), 10u);
@@ -480,8 +475,8 @@ TEST(Bind, TenPlusMetricsSpanQmaxCacheAndSwitch) {
   EXPECT_TRUE(contains(p.keys, "vswitch.ring_occupancy_max"));
 
 #if QMAX_TELEMETRY_ENABLED
-  EXPECT_EQ(sw.monitor_telemetry().records_drained.value(), consumed);
-  EXPECT_GT(sw.monitor_telemetry().drain_batch.count(), 0u);
+  EXPECT_EQ(sw.consumer_telemetry(0).drain_batch.sum(), consumed);
+  EXPECT_GT(sw.consumer_telemetry(0).drain_batch.count(), 0u);
 #endif
 }
 
@@ -524,17 +519,20 @@ TEST(Bind, ShardedQMaxExportsStableKeys) {
 }
 
 TEST(Bind, RingGaugesSurfaceThroughRunResult) {
-  qmax::vswitch::VirtualSwitch sw;
+  qmax::vswitch::MultiPmdSwitch sw(
+      qmax::vswitch::MultiPmdConfig{.pmd_threads = 1});
   sw.install_default_rules();
   qmax::trace::MinSizePacketGenerator pgen(1'000, 7);
   const auto pkts = qmax::trace::take_packets(pgen, 20'000);
   std::uint64_t consumed = 0;
-  const auto res = sw.forward_monitored(
-      pkts, [&](const qmax::vswitch::MonitorRecord&) { ++consumed; });
+  const auto run = sw.forward_monitored(
+      pkts,
+      [&](std::size_t, const qmax::vswitch::MonitorRecord&) { ++consumed; });
+  const qmax::vswitch::RunResult& res = run.per_pmd[0];
   EXPECT_EQ(res.packets, pkts.size());
   EXPECT_EQ(res.records_drained, consumed);
   EXPECT_EQ(res.records_drained, res.records_enqueued());
-  EXPECT_EQ(res.ring_capacity, sw.config().ring_capacity);
+  EXPECT_EQ(res.ring_capacity, sw.pmd(0).config().ring_capacity);
   EXPECT_GT(res.drain_batches, 0u);
   EXPECT_LE(res.ring_occupancy_max, res.ring_capacity);
   EXPECT_GE(res.ring_occupancy_peak_frac(), 0.0);
