@@ -15,23 +15,14 @@
 //    (M consumer threads over N rings, one shared ConcurrentQMax)
 //    against forward_sharded (consumer per ring, per-shard reservoir).
 //
-// Single-core honesty: CI containers typically expose ONE core, where W
-// threads time-share and wall-clock MPPS cannot exceed the single-writer
-// rate. Every parallel case therefore reports two counters:
-//   MPPS          — wall-clock (meaningful only with ≥W cores)
-//   modeled_MPPS  — items / busiest thread's CPU time (ThreadCpuStopwatch):
-//                   the rate this layout sustains when each thread owns a
-//                   core. This is the scaling signal EXPERIMENTS.md quotes.
-// Also reported: drain cost at query (drain_ms), handoff/stall/Ψ-publish
-// gauges, and per-writer CPU spread (writer_skew = busiest/laziest).
+// Every case reports wall-clock MPPS, which shows parallel scaling only
+// while the host has a core per thread. Also reported: drain cost at
+// query (drain_ms) and the handoff/stall/Ψ-publish gauges.
 //
 // NUMA note: ConcurrentQMax first-touches each admission buffer on its
 // registering writer thread, so on NUMA hosts the buffers sit on the
 // writer's node; this bench does not pin threads (no libnuma dependency)
 // but the allocation discipline is what makes pinning pay.
-//
-// `--smoke` (stripped before google-benchmark sees argv) shrinks the
-// stream via QMAX_BENCH_SCALE for the CI bench-smoke job.
 #include "bench_common.hpp"
 #include "bench_vswitch_common.hpp"
 
@@ -128,15 +119,12 @@ const Partition& balanced_partition(std::size_t writers) {
 
 struct DirectOutcome {
   double wall_secs = 0.0;
-  double busiest = 0.0;   // max per-thread CPU seconds
-  double laziest = 0.0;   // min per-thread CPU seconds
   double drain_ms = 0.0;  // query-side drain/merge cost
 };
 
 template <typename Feed>
 DirectOutcome run_writers(const Partition& part, Feed feed) {
   const std::size_t w = part.ids.size();
-  std::vector<double> cpu_secs(w, 0.0);
   DirectOutcome out;
   common::Stopwatch wall;
   {
@@ -144,7 +132,6 @@ DirectOutcome run_writers(const Partition& part, Feed feed) {
     writers.reserve(w);
     for (std::size_t s = 0; s < w; ++s) {
       writers.emplace_back([&, s] {
-        common::ThreadCpuStopwatch cpu;
         const auto& ids = part.ids[s];
         const auto& vals = part.vals[s];
         constexpr std::size_t kBatch = 64;
@@ -152,35 +139,21 @@ DirectOutcome run_writers(const Partition& part, Feed feed) {
           const std::size_t m = std::min(kBatch, vals.size() - i);
           feed(s, ids.data() + i, vals.data() + i, m);
         }
-        cpu_secs[s] = cpu.seconds();
       });
     }
     for (auto& t : writers) t.join();
   }
   out.wall_secs = wall.seconds();
-  out.busiest = 0.0;
-  out.laziest = cpu_secs.empty() ? 0.0 : cpu_secs[0];
-  for (const double c : cpu_secs) {
-    out.busiest = std::max(out.busiest, c);
-    out.laziest = std::min(out.laziest, c);
-  }
   return out;
 }
 
 void report_direct(benchmark::State& state, const DirectOutcome& out,
                    std::size_t total, CaseMetrics* cm) {
   const double wall_mpps = common::mops(total, out.wall_secs);
-  const double modeled = common::mops(total, out.busiest);
-  const double skew =
-      out.laziest > 0.0 ? out.busiest / out.laziest : 1.0;
   state.counters["MPPS"] = wall_mpps;
-  state.counters["modeled_MPPS"] = modeled;
-  state.counters["writer_skew"] = skew;
   state.counters["drain_ms"] = out.drain_ms;
   if (cm != nullptr) {
     cm->add_value("wall_mpps", wall_mpps);
-    cm->add_value("modeled_mpps", modeled);
-    cm->add_value("writer_skew", skew);
     cm->add_value("drain_ms", out.drain_ms);
   }
 }
@@ -296,7 +269,6 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
         CaseMetrics cm;
         cm.bind("concurrent", r);
         cm.add_value("aggregate_mpps", res.aggregate_mpps());
-        cm.add_value("modeled_consumer_mpps", res.modeled_consumer_mpps());
         cm.add_value("pmd_skew", res.pmd_skew());
         cm.add_value("handoffs", static_cast<double>(r.handoffs()));
         cm.add_value("handoff_stalls",
@@ -320,13 +292,11 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
         CaseMetrics cm;
         cm.bind("sharded", r);
         cm.add_value("aggregate_mpps", res.aggregate_mpps());
-        cm.add_value("modeled_consumer_mpps", res.modeled_consumer_mpps());
         cm.add_value("pmd_skew", res.pmd_skew());
         cm.commit(current_case());
       }
     }
     state.counters["MPPS"] = res.aggregate_mpps();
-    state.counters["modeled_MPPS"] = res.modeled_consumer_mpps();
     state.counters["pmd_skew"] = res.pmd_skew();
     state.counters["stalls"] = static_cast<double>(res.total_stalls());
   }
@@ -404,22 +374,6 @@ void register_all() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke`: CI-sized run. Must be handled before benchmark::Initialize
-  // (which rejects unknown flags); the env reads are lazy, so setting the
-  // scale here — unless the caller already pinned one — still takes.
-  int out = 1;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  if (smoke) {
-    argc = out;
-    setenv("QMAX_BENCH_SCALE", "0.02", /*overwrite=*/0);
-  }
   register_all();
   return qmax::bench::run_benchmarks(argc, argv);
 }

@@ -2,10 +2,11 @@
 // become the bottleneck as PMD threads scale? (The paper's OVS setup has
 // one shared-memory block per PMD and one user-space reader.)
 //
-// Reported per configuration: aggregate switch Mpps and total
-// backpressure stalls. On a single-core host the threads time-share, so
-// absolute scaling is not meaningful — the interesting signal is how the
-// stall count grows with PMD count for slow vs fast reservoirs.
+// Reported per configuration: aggregate switch Mpps (wall clock) and
+// total backpressure stalls. The Mpps shows PMD scaling only while the
+// host has a core for each PMD and the consumer; the stall count, which
+// grows with PMD count for slow vs fast reservoirs, shows where the one
+// consumer becomes the bottleneck on any host.
 #include "bench_vswitch_common.hpp"
 
 #include "vswitch/multi_pmd.hpp"

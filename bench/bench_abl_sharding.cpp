@@ -9,19 +9,11 @@
 //    thread per PMD ring, per-shard reservoir, Ψ-broadcast) against the
 //    forward_monitored single-consumer baseline.
 //
-// Single-core honesty: CI containers for this repo typically expose ONE
-// core, where S threads time-share and wall-clock MPPS cannot exceed the
-// single-shard rate. Every parallel case therefore reports two counters:
-//   MPPS          — wall-clock (meaningful only with ≥S cores)
-//   modeled_MPPS  — items / busiest thread's CPU time (ThreadCpuStopwatch):
-//                   the rate this layout sustains when each thread owns a
-//                   core. This is the scaling signal EXPERIMENTS.md quotes.
-// Also reported: merge-on-query cost (merge_ms) and the broadcast gauges
-// (per-shard Ψ, folds, publishes, tightened rejections — the latter only
-// counts with -DQMAX_TELEMETRY=ON).
-//
-// `--smoke` (stripped before google-benchmark sees argv) shrinks the
-// stream via QMAX_BENCH_SCALE for the CI bench-smoke job.
+// Every case reports wall-clock MPPS, which shows parallel scaling only
+// while the host has a core per thread (S writers, or N PMDs plus their
+// consumers). Also reported: merge-on-query cost (merge_ms) and the
+// broadcast gauges (per-shard Ψ, folds, publishes, tightened rejections —
+// the latter only counts with -DQMAX_TELEMETRY=ON).
 #include "bench_common.hpp"
 #include "bench_vswitch_common.hpp"
 
@@ -91,14 +83,12 @@ void run_direct_case(benchmark::State& state, std::size_t shards,
   const std::size_t total = random_values().size();
   for (auto _ : state) {
     Sharded r(shards, q, {}, bcast);
-    std::vector<double> cpu_secs(shards, 0.0);
     common::Stopwatch wall;
     {
       std::vector<std::thread> writers;
       writers.reserve(shards);
       for (std::size_t s = 0; s < shards; ++s) {
         writers.emplace_back([&, s] {
-          common::ThreadCpuStopwatch cpu;
           const auto& ids = part.ids[s];
           const auto& vals = part.vals[s];
           constexpr std::size_t kBatch = 64;
@@ -106,14 +96,11 @@ void run_direct_case(benchmark::State& state, std::size_t shards,
             const std::size_t m = std::min(kBatch, vals.size() - i);
             r.add_batch(s, ids.data() + i, vals.data() + i, m);
           }
-          cpu_secs[s] = cpu.seconds();
         });
       }
       for (auto& t : writers) t.join();
     }
     const double wall_secs = wall.seconds();
-    double busiest = 0.0;
-    for (const double c : cpu_secs) busiest = std::max(busiest, c);
 
     common::Stopwatch merge_sw;
     auto top = r.query();
@@ -121,7 +108,6 @@ void run_direct_case(benchmark::State& state, std::size_t shards,
     benchmark::DoNotOptimize(top);
 
     state.counters["MPPS"] = common::mops(total, wall_secs);
-    state.counters["modeled_MPPS"] = common::mops(total, busiest);
     state.counters["merge_ms"] = merge_ms;
     state.counters["bcast_folds"] = static_cast<double>(r.broadcast_folds());
     state.counters["admitted"] = static_cast<double>(r.admitted());
@@ -129,7 +115,6 @@ void run_direct_case(benchmark::State& state, std::size_t shards,
       CaseMetrics cm;
       cm.bind("sharded", r);
       snapshot_shard_gauges(cm, r);
-      cm.add_value("modeled_mpps", common::mops(total, busiest));
       cm.add_value("wall_mpps", common::mops(total, wall_secs));
       cm.add_value("merge_ms", merge_ms);
       cm.commit(current_case());
@@ -185,7 +170,6 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
     auto top = r.query();
     benchmark::DoNotOptimize(top);
     state.counters["MPPS"] = res.aggregate_mpps();
-    state.counters["modeled_MPPS"] = res.modeled_consumer_mpps();
     state.counters["pmd_skew"] = res.pmd_skew();
     state.counters["stalls"] = static_cast<double>(res.total_stalls());
     if (metrics_enabled() && !current_case().empty()) {
@@ -193,7 +177,6 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
       cm.bind("sharded", r);
       snapshot_shard_gauges(cm, r);
       cm.add_value("aggregate_mpps", res.aggregate_mpps());
-      cm.add_value("modeled_consumer_mpps", res.modeled_consumer_mpps());
       cm.add_value("pmd_skew", res.pmd_skew());
       cm.add_value("min_pmd_mpps", res.min_pmd_mpps());
       cm.add_value("max_pmd_mpps", res.max_pmd_mpps());
@@ -258,22 +241,6 @@ void register_all() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke`: CI-sized run. Must be handled before benchmark::Initialize
-  // (which rejects unknown flags); the env reads are lazy, so setting the
-  // scale here — unless the caller already pinned one — still takes.
-  int out = 1;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  if (smoke) {
-    argc = out;
-    setenv("QMAX_BENCH_SCALE", "0.02", /*overwrite=*/0);
-  }
   register_all();
   return qmax::bench::run_benchmarks(argc, argv);
 }

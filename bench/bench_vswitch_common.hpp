@@ -126,8 +126,8 @@ T& unwrap_consumer(std::reference_wrapper<T> c) {
 /// the PMD's delivered Mpps against the given line rate. Under
 /// QMAX_OVS_POLICY=graceful, a consumer that publishes its admission bound
 /// (psi_source()) is wired into the switch's shed-below-Ψ filter. When a
-/// metrics blob was requested, the PMD's datapath counters, ring gauges,
-/// and the monitor and overload instruments are snapshotted under the
+/// metrics blob was requested, the PMD's datapath and ladder counters,
+/// ring gauges and the monitor instruments are snapshotted under the
 /// current case.
 template <typename Consumer>
 double run_switch_monitored(const std::vector<trace::PacketRecord>& packets,
@@ -148,7 +148,6 @@ double run_switch_monitored(const std::vector<trace::PacketRecord>& packets,
     CaseMetrics cm;
     cm.bind("switch", pmd);
     cm.bind("monitor", sw.consumer_telemetry(0));
-    cm.bind("overload", sw.pmd(0).overload_telemetry());
     cm.commit(current_case());
   }
   return pmd.delivered_mpps(line_rate_pps);

@@ -2,8 +2,8 @@
 # Record one point on the cross-PR perf trajectory.
 #
 # Runs the pinned smoke suite (bench_tab01_speedups, bench_abl_batch,
-# bench_abl_sharding --smoke, bench_abl_concurrent --smoke,
-# bench_abl_snapshot), collects each binary's QMAX_METRICS_OUT blob, and
+# bench_abl_sharding, bench_abl_concurrent, bench_abl_snapshot) at
+# QMAX_SNAPSHOT_SCALE, collects each binary's QMAX_METRICS_OUT blob, and
 # stitches them into BENCH_<n>.json at the repo root via
 # scripts/bench_snapshot.py (n = 1 + the highest existing snapshot).
 #
@@ -55,10 +55,9 @@ QMAX_METRICS_OUT="$WORK/tab01.json" \
 QMAX_METRICS_OUT="$WORK/abl_batch.json" \
   "$BUILD_DIR/bench/bench_abl_batch" | tee "$WORK/abl_batch.txt"
 QMAX_METRICS_OUT="$WORK/abl_sharding.json" \
-  "$BUILD_DIR/bench/bench_abl_sharding" --smoke | tee "$WORK/abl_sharding.txt"
+  "$BUILD_DIR/bench/bench_abl_sharding" | tee "$WORK/abl_sharding.txt"
 QMAX_METRICS_OUT="$WORK/abl_concurrent.json" \
-  "$BUILD_DIR/bench/bench_abl_concurrent" --smoke \
-  | tee "$WORK/abl_concurrent.txt"
+  "$BUILD_DIR/bench/bench_abl_concurrent" | tee "$WORK/abl_concurrent.txt"
 QMAX_METRICS_OUT="$WORK/abl_snapshot.json" \
   "$BUILD_DIR/bench/bench_abl_snapshot" | tee "$WORK/abl_snapshot.txt"
 
@@ -72,8 +71,7 @@ if [ -n "$INSTRUMENTED_DIR" ]; then
   echo "== instrumented leg ($INSTRUMENTED_DIR) =="
   QMAX_METRICS_OUT="$WORK/trace_metrics.json" \
   QMAX_TRACE_OUT="$WORK/trace.json" \
-    "$INSTRUMENTED_DIR/bench/bench_abl_sharding" --smoke \
-    > "$WORK/trace_leg.txt"
+    "$INSTRUMENTED_DIR/bench/bench_abl_sharding" > "$WORK/trace_leg.txt"
   echo "flight-recorder trace: $WORK/trace.json (load in ui.perfetto.dev)"
 fi
 

@@ -83,7 +83,7 @@ class IncrementalSelect {
       }
       if (!in_partition_) {
         begin_partition();
-        ops += 16;  // pivot selection cost (ninther: a dozen comparisons)
+        ops += 16;  // flat charge for choosing the median-of-3 pivot
         continue;   // re-check the budget before partitioning
       }
       if (run_partition(budget, ops)) {

@@ -13,6 +13,7 @@
 
 #include <concepts>
 #include <cstddef>
+#include <span>
 
 namespace qmax::batch {
 
@@ -36,6 +37,17 @@ inline std::size_t add_batch_or_each(R& r, const Id* ids, const Value* vals,
       admitted += static_cast<std::size_t>(r.add(ids[i], vals[i]));
     }
     return admitted;
+  }
+}
+
+/// Feed pre-paired entries to any reservoir: its add_batch(span) when it
+/// has one (identity-window q-MAX variants), add() on each otherwise.
+template <typename R, typename EntryT>
+inline void add_entries_or_each(R& r, std::span<const EntryT> items) {
+  if constexpr (requires { r.add_batch(items); }) {
+    r.add_batch(items);
+  } else {
+    for (const EntryT& e : items) r.add(e.id, e.val);
   }
 }
 

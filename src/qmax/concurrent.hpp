@@ -167,18 +167,20 @@ class ConcurrentQMax {
   /// the Ψ screen and was staged for the reservoir (final admission is
   /// decided by core maintenance at handoff; anything staged and later
   /// rejected there was provably outside the top q anyway).
-  bool add(Id id, Value val) { return add_to(local_slot(), id, val); }
+  bool add(Id id, Value val) {
+    return Writer(this, &local_slot()).add(id, val);
+  }
 
   /// Report `n` items from any thread; each is screened against one
   /// snapshot of the published Ψ, one comparison per item, like the
   /// single-writer batch path. Returns the number staged.
   std::size_t add_batch(const Id* ids, const Value* vals, std::size_t n) {
-    return batch_to(local_slot(), ids, vals, n);
+    return Writer(this, &local_slot()).add_batch(ids, vals, n);
   }
 
   /// Entry-span overload (the multi-PMD drain path feeds this).
   std::size_t add_batch(std::span<const EntryT> items) {
-    return span_to(local_slot(), items);
+    return Writer(this, &local_slot()).add_batch(items);
   }
 
   /// A dedicated writer handle bound to a fresh slot, for hosts that want
@@ -188,12 +190,17 @@ class ConcurrentQMax {
   /// view and must not outlive the ConcurrentQMax.
   class Writer {
    public:
-    bool add(Id id, Value val) { return host_->add_to(*slot_, id, val); }
+    bool add(Id id, Value val) { return add_batch(&id, &val, 1) != 0; }
     std::size_t add_batch(const Id* ids, const Value* vals, std::size_t n) {
-      return host_->batch_to(*slot_, ids, vals, n);
+      return host_->stage_screened(
+          *slot_, n, [ids](std::size_t j) { return ids[j]; },
+          [vals](std::size_t j) { return vals[j]; });
     }
     std::size_t add_batch(std::span<const EntryT> items) {
-      return host_->span_to(*slot_, items);
+      const EntryT* e = items.data();
+      return host_->stage_screened(
+          *slot_, items.size(), [e](std::size_t j) { return e[j].id; },
+          [e](std::size_t j) { return e[j].val; });
     }
 
    private:
@@ -400,49 +407,27 @@ class ConcurrentQMax {
 
   // ---- Writer-side screen + staging -----------------------------------
 
-  bool add_to(WriterSlot& w, Id id, Value val) {
-    ++w.seen;
-    const Value psi = global_psi_.load(std::memory_order_relaxed);
-    if (!(val > psi)) {
-      ++w.screened;
-      return false;
-    }
-    stage(w, id, val);
-    return true;
-  }
-
-  std::size_t batch_to(WriterSlot& w, const Id* ids, const Value* vals,
-                       std::size_t n) {
+  /// The one writer-side loop behind add() (n = 1) and both add_batch
+  /// forms: screen items [0, n), item j being (id(j), val(j)), against
+  /// one load of the published Ψ and stage the survivors into w's buffer.
+  /// Returns the number staged.
+  template <typename IdAt, typename ValAt>
+  std::size_t stage_screened(WriterSlot& w, std::size_t n, IdAt id,
+                             ValAt val) {
     w.seen += n;
-    // One Ψ snapshot per batch: monotone, so screening a whole batch
+    // One Ψ snapshot per call: monotone, so screening a whole batch
     // against a slightly stale bound can only stage extra candidates the
     // core re-screens at handoff — never lose one.
     const Value psi = global_psi_.load(std::memory_order_relaxed);
     std::size_t staged = 0;
     std::size_t screened = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (!(vals[j] > psi)) {
+      const Value v = val(j);
+      if (!(v > psi)) {
         ++screened;
         continue;
       }
-      stage(w, ids[j], vals[j]);
-      ++staged;
-    }
-    w.screened += screened;
-    return staged;
-  }
-
-  std::size_t span_to(WriterSlot& w, std::span<const EntryT> items) {
-    w.seen += items.size();
-    const Value psi = global_psi_.load(std::memory_order_relaxed);
-    std::size_t staged = 0;
-    std::size_t screened = 0;
-    for (const EntryT& e : items) {
-      if (!(e.val > psi)) {
-        ++screened;
-        continue;
-      }
-      stage(w, e.id, e.val);
+      stage(w, id(j), v);
       ++staged;
     }
     w.screened += screened;
@@ -495,6 +480,7 @@ class ConcurrentQMax {
     for (;;) {
       if (maint_busy_.exchange(true, std::memory_order_acquire)) return;
       drain_pending();
+      ++maintenance_rounds_;
       publish_psi();
       maint_busy_.store(false, std::memory_order_release);
       if (pending_.load(std::memory_order_relaxed) == nullptr) return;
@@ -503,6 +489,8 @@ class ConcurrentQMax {
 
   // ---- Maintenance-owner side (flag-serialized) -----------------------
 
+  /// Take the whole pending stack and ingest every buffer on it, returning
+  /// each to its writer.
   void drain_pending() {
     Buffer* list = pending_.exchange(nullptr, std::memory_order_acquire);
     while (list != nullptr) {
@@ -511,7 +499,6 @@ class ConcurrentQMax {
       ingest(*b);
       release_buffer(b);
     }
-    ++maintenance_rounds_;
   }
 
   void ingest(Buffer& b) {
@@ -552,13 +539,7 @@ class ConcurrentQMax {
   void drain_all() {
     while (maint_busy_.exchange(true, std::memory_order_acquire)) {
     }
-    Buffer* list = pending_.exchange(nullptr, std::memory_order_acquire);
-    while (list != nullptr) {
-      Buffer* b = list;
-      list = b->next;
-      ingest(*b);
-      release_buffer(b);
-    }
+    drain_pending();
     {
       std::lock_guard<std::mutex> lock(reg_mu_);
       for (auto& w : slots_) {

@@ -991,7 +991,8 @@ class ReservoirCore {
   /// Returns the number of admitted items.
   std::size_t add_batch(const Id* ids, const Value* vals, std::size_t n) {
     if constexpr (WindowPolicy::kIdentity) {
-      return add_screened(ids, vals, n);
+      return admit_screened(n, [ids](std::size_t j) { return ids[j]; },
+                            [vals](std::size_t j) { return vals[j]; });
     } else {
       const std::uint64_t t0 = processed_;
       std::size_t admitted_in_batch = 0;
@@ -1005,8 +1006,11 @@ class ReservoirCore {
           batch_keys_[valid] = v;
           ++valid;
         }
-        admitted_in_batch +=
-            add_screened(batch_ids_.data(), batch_keys_.data(), valid);
+        const Id* run_ids = batch_ids_.data();
+        const Value* run_keys = batch_keys_.data();
+        admitted_in_batch += admit_screened(
+            valid, [run_ids](std::size_t j) { return run_ids[j]; },
+            [run_keys](std::size_t j) { return run_keys[j]; });
       }
       // Every item consumes one arrival index whether or not the window
       // transform accepted it, exactly like the scalar early-return.
@@ -1017,33 +1021,14 @@ class ReservoirCore {
 
   /// add_batch over pre-paired entries (the window variants feed their
   /// merge buffers through this overload). Identity windows only: entry
-  /// values are already in the reservoir's key domain. Same loop as
-  /// add_screened, walking the entries directly.
+  /// values are already in the reservoir's key domain.
   std::size_t add_batch(std::span<const EntryT> items)
     requires(WindowPolicy::kIdentity)
   {
-    [[maybe_unused]] telemetry::Span trace_span(telemetry::Stage::kAddBatch);
-    const std::size_t n = items.size();
-    processed_ += n;
-    maint_.tm_.batch_calls.inc();
-    std::size_t admitted_in_batch = 0;
-    std::size_t rejected_in_batch = 0;
-    // Same register-hoisted Ψ as add_screened: reloaded only after an
-    // admit, bit-identical decisions, no per-item reload through maint_.
-    Value psi = maint_.psi();
-    for (const EntryT& e : items) {
-      if (!(e.val > psi)) {
-        ++rejected_in_batch;
-        continue;
-      }
-      maint_.admit(e.id, e.val);
-      psi = maint_.psi();
-      ++admitted_in_batch;
-    }
-    admitted_ += admitted_in_batch;
-    maint_.tm_.prefilter_rejected.inc(rejected_in_batch);
-    maint_.tm_.batch_survivors.record(n - rejected_in_batch);
-    return admitted_in_batch;
+    const EntryT* e = items.data();
+    return admit_screened(items.size(),
+                          [e](std::size_t j) { return e[j].id; },
+                          [e](std::size_t j) { return e[j].val; });
   }
 
   /// The current admission bound: a monotone lower bound on the q-th
@@ -1200,13 +1185,15 @@ class ReservoirCore {
  private:
   friend struct ::qmax::InvariantAccess;
 
-  /// The identity-domain batch ingestion shared by all maintenance
-  /// policies and both add_batch(ids, vals, n) forms: one in-order walk
-  /// in which a rejected item costs one comparison against the live Ψ
-  /// and an admitted one runs the exact scalar admission code, so
-  /// maintenance fires at exactly the scalar points and a Ψ raised by an
-  /// admit tightens the test for the very next item.
-  std::size_t add_screened(const Id* ids, const Value* vals, std::size_t n) {
+  /// The one identity-domain admission loop behind every add_batch, for
+  /// all maintenance policies: an in-order walk over items [0, n), item j
+  /// being (id(j), val(j)), in which a rejected item costs one comparison
+  /// against the live Ψ and an admitted one runs the exact scalar
+  /// admission code, so maintenance fires at exactly the scalar points
+  /// and a Ψ raised by an admit tightens the test for the very next item.
+  /// id(j) is read only for admitted items.
+  template <typename IdAt, typename ValAt>
+  std::size_t admit_screened(std::size_t n, IdAt id, ValAt val) {
     [[maybe_unused]] telemetry::Span trace_span(telemetry::Stage::kAddBatch);
     processed_ += n;
     maint_.tm_.batch_calls.inc();
@@ -1215,15 +1202,16 @@ class ReservoirCore {
     // Ψ is hoisted into a register and reloaded only after an admit — the
     // only point it can move mid-batch (single writer; floor folds happen
     // between batches). The compiler cannot hoist it itself: it must
-    // assume `vals` may alias the reservoir, forcing a reload per item.
+    // assume the items may alias the reservoir, forcing a reload per item.
     // Admission decisions are bit-identical to the per-item reload.
     Value psi = maint_.psi();
     for (std::size_t j = 0; j < n; ++j) {
-      if (!(vals[j] > psi)) {
+      const Value v = val(j);
+      if (!(v > psi)) {
         ++screened;
         continue;
       }
-      maint_.admit(ids[j], vals[j]);
+      maint_.admit(id(j), v);
       psi = maint_.psi();
       ++admitted_in_batch;
     }

@@ -164,11 +164,7 @@ class SlackQMax {
   void query_into(std::vector<EntryT>& out) const {
     R result = factory_();
     collect_into(merge_buf_, /*clear=*/true);
-    if constexpr (requires(R& r) { r.add_batch(std::span<const EntryT>{}); }) {
-      result.add_batch(std::span<const EntryT>(merge_buf_));
-    } else {
-      for (const EntryT& item : merge_buf_) result.add(item.id, item.val);
-    }
+    batch::add_entries_or_each(result, std::span<const EntryT>(merge_buf_));
     result.query_into(out);
   }
 
@@ -314,11 +310,7 @@ class SlackQMax {
     for (LevelRing& lv : levels_) {
       R& blk =
           lv.at(item / lv.block_size(), [&] { tm_.block_resets.inc(); });
-      if constexpr (requires(R& r) { r.add_batch(std::span<const EntryT>{}); }) {
-        blk.add_batch(std::span<const EntryT>(flush_buf_));
-      } else {
-        for (const EntryT& e : flush_buf_) blk.add(e.id, e.val);
-      }
+      batch::add_entries_or_each(blk, std::span<const EntryT>(flush_buf_));
     }
     front_[0].reset();
   }

@@ -103,11 +103,7 @@ class TimeSlackQMax {
   void query_into(std::vector<EntryT>& out) const {
     R result = factory_();
     collect(merge_buf_, /*clear=*/true);
-    if constexpr (requires(R& r) { r.add_batch(std::span<const EntryT>{}); }) {
-      result.add_batch(std::span<const EntryT>(merge_buf_));
-    } else {
-      for (const EntryT& e : merge_buf_) result.add(e.id, e.val);
-    }
+    batch::add_entries_or_each(result, std::span<const EntryT>(merge_buf_));
     result.query_into(out);
   }
 

@@ -155,6 +155,8 @@ void bind_metrics_into(Registry& reg, const std::string& prefix, const T& obj,
             [&obj] { return static_cast<std::uint64_t>(obj.watchdog_drops); });
     counter("degrade_transitions",
             [&obj] { return static_cast<std::uint64_t>(obj.degrade_transitions); });
+    counter("deescalations",
+            [&obj] { return static_cast<std::uint64_t>(obj.deescalations); });
     gauge("degrade_peak",
           [&obj] { return static_cast<double>(obj.degrade_peak); });
   }

@@ -61,11 +61,6 @@ struct MonitorTelemetry {
     fn("ring_occupancy", ring_occupancy);
     fn("empty_polls", empty_polls);
   }
-  void reset() noexcept {
-    drain_batch.reset();
-    ring_occupancy.reset();
-    empty_polls.reset();
-  }
 };
 
 struct MultiRunResult {
@@ -74,18 +69,6 @@ struct MultiRunResult {
   /// Wall-clock of the whole parallel section: RSS hashing plus
   /// forwarding, until the last PMD finishes.
   double seconds = 0.0;
-  /// Per-consumer CPU seconds (thread clock) spent outside idle polling:
-  /// entry j is what consumer j burned draining + measuring, clocked only
-  /// when it turns busy (a drain after an all-empty round) and idle again.
-  /// forward_sharded fills one entry per ring, forward_monitored one for
-  /// its single monitor thread; empty for unmonitored runs.
-  std::vector<double> consumer_busy_seconds;
-  /// True iff consumer_busy_seconds was measured with a real per-thread
-  /// CPU clock (common::thread_cputime_supported()). False means the
-  /// entries are wall-clock fallback readings, so CPU-time-derived rates
-  /// (modeled_consumer_mpps) refuse to report rather than pass off
-  /// garbage; false also for unmonitored runs.
-  bool busy_time_valid = false;
 
   [[nodiscard]] double aggregate_mpps() const noexcept {
     return common::mops(packets, seconds);
@@ -117,20 +100,6 @@ struct MultiRunResult {
     const double lo = min_pmd_mpps();
     const double hi = max_pmd_mpps();
     return (per_pmd.size() > 1 && lo > 0.0) ? hi / lo : 1.0;
-  }
-  /// Measurement throughput modeled as records / busiest consumer's CPU
-  /// time: the rate this consumer fleet sustains when each thread owns a
-  /// core. On a single-core host wall-clock serializes the consumers and
-  /// aggregate_mpps() cannot show parallel speedup; CPU time can. 0 when
-  /// no monitored run filled the busy vector or the platform lacks a
-  /// per-thread CPU clock (busy_time_valid == false).
-  [[nodiscard]] double modeled_consumer_mpps() const noexcept {
-    if (!busy_time_valid) return 0.0;
-    double busiest = 0.0;
-    for (const double s : consumer_busy_seconds) {
-      if (s > busiest) busiest = s;
-    }
-    return busiest > 0.0 ? common::mops(total_drained(), busiest) : 0.0;
   }
   [[nodiscard]] double delivered_mpps(double line_rate_pps) const noexcept {
     const double dp = aggregate_mpps();
@@ -234,8 +203,6 @@ class MultiPmdSwitch {
   /// ShardedQMax behind the consumer this is the layout where shard i is
   /// single-writer by construction. Each ring remains SPSC and the only
   /// producer→consumer handoff beyond the ring itself is one done flag.
-  /// Fills one res.consumer_busy_seconds entry per ring, the input to
-  /// MultiRunResult::modeled_consumer_mpps().
   template <typename Consumer>
   MultiRunResult forward_sharded(std::span<const trace::PacketRecord> packets,
                                  Consumer&& consume) {
@@ -252,8 +219,7 @@ class MultiPmdSwitch {
   /// `consume` is called as `consume(ring_index, record)` or, when it
   /// accepts a span, `consume(ring_index, span)`; with a ConcurrentQMax
   /// behind it each consumer thread owns a thread-local admission buffer
-  /// and no dispatch-by-key is needed. Fills one
-  /// res.consumer_busy_seconds entry per consumer thread.
+  /// and no dispatch-by-key is needed.
   template <typename Consumer>
   MultiRunResult forward_concurrent(
       std::span<const trace::PacketRecord> packets,
@@ -275,9 +241,6 @@ class MultiPmdSwitch {
   [[nodiscard]] const MonitorTelemetry& consumer_telemetry(
       std::size_t j) const {
     return *consumer_tm_.at(j);
-  }
-  void reset_consumer_telemetry() noexcept {
-    for (auto& tm : consumer_tm_) tm->reset();
   }
 
   /// Forward without monitoring (the vanilla baseline).
@@ -353,8 +316,6 @@ class MultiPmdSwitch {
           cfg_.per_pmd.ring_capacity));
     }
     MultiRunResult res;
-    res.consumer_busy_seconds.assign(m, 0.0);
-    res.busy_time_valid = common::thread_cputime_supported();
     std::vector<std::atomic<bool>> done(n);
     // Consumer-side per-ring gauges: ring i has the one consumer i mod m,
     // so each entry keeps a single writer; published into res.per_pmd
@@ -370,9 +331,6 @@ class MultiPmdSwitch {
         consumers.emplace_back([&, j] {
           MonitorRecord batch[64];
           MonitorTelemetry& tm = *consumer_tm_[j];
-          common::ThreadCpuStopwatch cpu;  // read at busy/idle edges only
-          bool busy = false;
-          double busy_s = 0.0;
           for (;;) {
             bool any = false;
             bool finished = true;
@@ -387,10 +345,6 @@ class MultiPmdSwitch {
                            done[i].load(std::memory_order_acquire) &&
                            ring.empty_approx();
                 continue;
-              }
-              if (!busy) {
-                cpu.reset();
-                busy = true;
               }
               {
                 [[maybe_unused]] telemetry::Span drain_span(
@@ -411,15 +365,10 @@ class MultiPmdSwitch {
               any = true;
             }
             if (any) continue;
-            if (busy) {
-              busy_s += cpu.seconds();
-              busy = false;
-            }
             tm.empty_polls.inc();
             if (finished) break;
             std::this_thread::yield();
           }
-          res.consumer_busy_seconds[j] = busy_s;  // sole writer
         });
       }
     });

@@ -67,6 +67,10 @@ void VirtualSwitch::run_datapath(std::span<const trace::PacketRecord> packets,
                                  SpscRing<MonitorRecord>* ring,
                                  RunResult& res) {
   common::Stopwatch sw;
+  // Count into a copy on this thread's stack: the PMDs' RunResults sit
+  // side by side in one vector, and per-packet updates in place would
+  // put neighbouring PMDs' counters on shared cache lines.
+  RunResult local = res;
   GracefulCtx g;
   if (ring != nullptr && cfg_.policy == OverloadPolicy::kGraceful) {
     double frac = cfg_.deescalate_watermark;
@@ -79,16 +83,17 @@ void VirtualSwitch::run_datapath(std::span<const trace::PacketRecord> packets,
     forward_bursts(
         packets.size(),
         [&](std::size_t k) -> const auto& { return packets[k]; }, ring, g,
-        res);
+        local);
   }
   for (const RxIndexList& list : queue) {
     const std::uint32_t* idx = list.idx.data();
     forward_bursts(
         list.idx.size(),
         [&](std::size_t k) -> const auto& { return packets[idx[k]]; }, ring, g,
-        res);
+        local);
   }
-  res.seconds = sw.seconds();
+  local.seconds = sw.seconds();
+  res = local;
 }
 
 void VirtualSwitch::enqueue_burst(std::size_t n, SpscRing<MonitorRecord>& ring,
@@ -128,26 +133,10 @@ void VirtualSwitch::escalate(GracefulCtx& g, DegradeState to,
   const auto level = static_cast<std::uint8_t>(to);
   if (level > res.degrade_peak) res.degrade_peak = level;
   ++res.degrade_transitions;
-  switch (to) {
-    case DegradeState::kBackpressure:
-      ovl_tm_.enter_backpressure.inc();
-      break;
-    case DegradeState::kShedProbabilistic:
-      ovl_tm_.enter_shed_probabilistic.inc();
-      break;
-    case DegradeState::kShedBelowPsi:
-      ovl_tm_.enter_shed_below_psi.inc();
-      break;
-    case DegradeState::kWatchdog:
-      ovl_tm_.enter_watchdog.inc();
-      break;
-    case DegradeState::kNormal:
-      break;  // never an escalation target
-  }
 }
 
 void VirtualSwitch::maybe_deescalate(const SpscRing<MonitorRecord>& ring,
-                                     GracefulCtx& g) noexcept {
+                                     GracefulCtx& g, RunResult& res) noexcept {
   // The watchdog state is exited only by observed consumer progress
   // (graceful_enqueue's cursor probe), never by occupancy: a stalled
   // consumer leaves the ring full, but a drained-then-stalled one must
@@ -163,7 +152,7 @@ void VirtualSwitch::maybe_deescalate(const SpscRing<MonitorRecord>& ring,
     }
     telemetry::instant(telemetry::Stage::kOverload,
                        ladder_exit_name(g.state));
-    ovl_tm_.deescalations.inc();
+    ++res.deescalations;
   }
 }
 
@@ -194,7 +183,7 @@ bool VirtualSwitch::try_shed(const MonitorRecord& rec, GracefulCtx& g,
 void VirtualSwitch::graceful_enqueue(const MonitorRecord& rec,
                                      SpscRing<MonitorRecord>& ring,
                                      GracefulCtx& g, RunResult& res) {
-  maybe_deescalate(ring, g);
+  maybe_deescalate(ring, g, res);
 
   if (g.state == DegradeState::kWatchdog) {
     const std::uint64_t cur = ring.consumer_cursor();
@@ -210,7 +199,7 @@ void VirtualSwitch::graceful_enqueue(const MonitorRecord& rec,
     g.state = DegradeState::kShedBelowPsi;
     telemetry::instant(telemetry::Stage::kOverload,
                        ladder_exit_name(g.state));
-    ovl_tm_.deescalations.inc();
+    ++res.deescalations;
   }
   if (try_shed(rec, g, res)) return;
 

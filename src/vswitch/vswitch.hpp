@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "telemetry/counters.hpp"
 #include "trace/packet.hpp"
 #include "vswitch/flow_table.hpp"
 #include "vswitch/ring_buffer.hpp"
@@ -147,32 +146,6 @@ struct SwitchConfig {
   double (*record_value)(const MonitorRecord&) = nullptr;
 };
 
-/// Gated instruments for the kGraceful overload ladder (no-ops unless
-/// -DQMAX_TELEMETRY=ON); written from the PMD thread only.
-struct OverloadTelemetry {
-  telemetry::Counter enter_backpressure;       // upward moves into each state
-  telemetry::Counter enter_shed_probabilistic;
-  telemetry::Counter enter_shed_below_psi;
-  telemetry::Counter enter_watchdog;
-  telemetry::Counter deescalations;            // downward moves (any level)
-
-  template <typename Fn>
-  void visit(Fn&& fn) const {
-    fn("enter_backpressure", enter_backpressure);
-    fn("enter_shed_probabilistic", enter_shed_probabilistic);
-    fn("enter_shed_below_psi", enter_shed_below_psi);
-    fn("enter_watchdog", enter_watchdog);
-    fn("deescalations", deescalations);
-  }
-  void reset() noexcept {
-    enter_backpressure.reset();
-    enter_shed_probabilistic.reset();
-    enter_shed_below_psi.reset();
-    enter_watchdog.reset();
-    deescalations.reset();
-  }
-};
-
 struct RunResult {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
@@ -189,6 +162,7 @@ struct RunResult {
   std::uint64_t watchdog_drops = 0;      // dropped while consumer stalled
   std::uint64_t watchdog_trips = 0;      // stall detections
   std::uint64_t degrade_transitions = 0; // upward ladder moves
+  std::uint64_t deescalations = 0;       // downward ladder moves
   std::uint8_t degrade_peak = 0;         // highest DegradeState reached
   std::uint64_t forwarded = 0;
   std::uint64_t table_misses = 0;
@@ -263,12 +237,6 @@ class VirtualSwitch {
                     std::span<const RxIndexList> queue,
                     SpscRing<MonitorRecord>* ring, RunResult& res);
 
-  /// PMD-side overload-ladder instruments (kGraceful runs only).
-  [[nodiscard]] const OverloadTelemetry& overload_telemetry() const noexcept {
-    return ovl_tm_;
-  }
-  void reset_overload_telemetry() noexcept { ovl_tm_.reset(); }
-
  private:
   /// Per-run state of the kGraceful ladder (one PMD loop owns one).
   struct GracefulCtx {
@@ -301,14 +269,13 @@ class VirtualSwitch {
                               RunResult& res) const noexcept;
 
   void escalate(GracefulCtx& g, DegradeState to, RunResult& res) noexcept;
-  void maybe_deescalate(const SpscRing<MonitorRecord>& ring, GracefulCtx& g)
-      noexcept;
+  void maybe_deescalate(const SpscRing<MonitorRecord>& ring, GracefulCtx& g,
+                        RunResult& res) noexcept;
   [[nodiscard]] bool shed_below_psi(const MonitorRecord& rec) const noexcept;
 
   SwitchConfig cfg_;
   FlowTable table_;
   UpcallHandler upcall_;
-  [[no_unique_address]] OverloadTelemetry ovl_tm_;
   std::uint64_t tx_counts_[256] = {};
   std::vector<MonitorRecord> staged_;  // one rx burst's records
 };

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <utility>
@@ -18,6 +20,7 @@
 #include "qmax/exp_decay.hpp"
 #include "qmax/qmax.hpp"
 #include "qmax/qmin.hpp"
+#include "qmax/sampled_qmax.hpp"
 #include "qmax/sliding.hpp"
 #include "qmax/small_domain_window.hpp"
 #include "qmax/time_sliding.hpp"
@@ -29,6 +32,7 @@ using qmax::Entry;
 using qmax::ExpDecayQMax;
 using qmax::QMax;
 using qmax::QMin;
+using qmax::SampledQMax;
 using qmax::SlackQMax;
 using qmax::SmallDomainWindowMax;
 using qmax::TimeSlackQMax;
@@ -141,22 +145,75 @@ TEST(AddBatch, NaNAndEmptyValueInsideBatch) {
   EXPECT_EQ(r.live_count(), 0u);
 }
 
-TEST(AddBatch, SpanOverloadMatchesPointerOverload) {
+/// Uniform values laced with NaN, kEmptyValue, ties on four repeated
+/// values, and an ascending ramp above every other value, so admissions
+/// and evictions keep happening to the end of the stream.
+std::vector<double> adversarial_stream(std::size_t n, std::uint64_t seed) {
   std::vector<double> vals;
-  Xoshiro256 rng(6);
-  for (int i = 0; i < 1000; ++i) vals.push_back(rng.uniform());
-  QMax<> by_ptr(32, 0.3);
-  QMax<> by_span(32, 0.3);
+  Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (rng() % 8) {
+      case 0: vals.push_back(std::nan("")); break;
+      case 1: vals.push_back(qmax::kEmptyValue<double>); break;
+      case 2: vals.push_back(static_cast<double>(rng() % 4) * 0.25); break;
+      case 3: vals.push_back(1.0 + static_cast<double>(i)); break;
+      default: vals.push_back(rng.uniform()); break;
+    }
+  }
+  return vals;
+}
+
+/// Feed `vals` to a pointer-overload twin and an entry-span twin in the
+/// same uneven runs: every call's return value, processed() and
+/// admitted() agree, Ψ is bit-identical after every call, and so are the
+/// eviction-callback sequence and the final query.
+template <typename R>
+void expect_span_twin(R& by_ptr, R& by_span, const std::vector<double>& vals,
+                      const char* what) {
+  std::vector<Entry> ptr_ev, span_ev;
+  by_ptr.set_evict_callback([&](const Entry& e) { ptr_ev.push_back(e); });
+  by_span.set_evict_callback([&](const Entry& e) { span_ev.push_back(e); });
   const auto ids = iota_ids(vals.size());
-  by_ptr.add_batch(ids.data(), vals.data(), vals.size());
   std::vector<Entry> entries;
   for (std::size_t i = 0; i < vals.size(); ++i) {
     entries.push_back(Entry{ids[i], vals[i]});
   }
-  by_span.add_batch(std::span<const Entry>(entries));
-  EXPECT_EQ(by_ptr.threshold(), by_span.threshold());
-  EXPECT_EQ(by_ptr.admitted(), by_span.admitted());
-  EXPECT_EQ(sorted_query(by_ptr), sorted_query(by_span));
+  Xoshiro256 rng(6);
+  for (std::size_t pos = 0; pos < vals.size();) {
+    const std::size_t run =
+        std::min<std::size_t>(1 + rng() % 300, vals.size() - pos);
+    ASSERT_EQ(by_ptr.add_batch(ids.data() + pos, vals.data() + pos, run),
+              by_span.add_batch(std::span<const Entry>(entries.data() + pos,
+                                                       run)))
+        << what << ": run at " << pos;
+    ASSERT_EQ(by_ptr.processed(), by_span.processed()) << what;
+    ASSERT_EQ(by_ptr.admitted(), by_span.admitted()) << what;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(by_ptr.threshold()),
+              std::bit_cast<std::uint64_t>(by_span.threshold()))
+        << what << ": run at " << pos;
+    pos += run;
+  }
+  EXPECT_FALSE(ptr_ev.empty()) << what << ": no eviction to compare";
+  EXPECT_EQ(ptr_ev, span_ev) << what;
+  EXPECT_EQ(sorted_query(by_ptr), sorted_query(by_span)) << what;
+}
+
+TEST(AddBatch, SpanOverloadMatchesPointerOverload) {
+  std::vector<double> uniform;
+  Xoshiro256 rng(6);
+  for (int i = 0; i < 1000; ++i) uniform.push_back(rng.uniform());
+  const auto adversarial = adversarial_stream(6000, 61);
+  const std::vector<double>* streams[] = {&uniform, &adversarial};
+  for (const std::vector<double>* vals : streams) {
+    QMax<> qm_ptr(32, 0.3), qm_span(32, 0.3);
+    expect_span_twin(qm_ptr, qm_span, *vals, "QMax");
+    AmortizedQMax<> am_ptr(32, 0.3), am_span(32, 0.3);
+    expect_span_twin(am_ptr, am_span, *vals, "AmortizedQMax");
+    SampledQMax<> sm_ptr(64, 0.25, /*sample_size=*/16);
+    SampledQMax<> sm_span(64, 0.25, /*sample_size=*/16);
+    ASSERT_TRUE(sm_ptr.sampling_enabled());
+    expect_span_twin(sm_ptr, sm_span, *vals, "SampledQMax");
+  }
 }
 
 TEST(AddBatch, EvictionCallbackSequenceMatchesScalar) {

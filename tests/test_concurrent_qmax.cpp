@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -236,34 +237,62 @@ TEST(ConcurrentQMax, AnyWriterInterleavingMatchesSingleWriter) {
 }
 
 TEST(ConcurrentQMax, SpanBatchPathMatchesGolden) {
-  // The entry-span path (what forward_concurrent feeds from ring drains).
+  // The entry-span path (what forward_concurrent feeds from ring drains),
+  // the pointer path and add(), fed the same runs on the same writer
+  // schedule. The two batch paths screen each run against one Ψ snapshot
+  // and must agree exactly; add() loads Ψ per item, so only its processed
+  // count and its answer must match them.
+  using CQ = ConcurrentQMax<QMax<>>;
   const std::size_t q = 128;
   const auto vals = adversarial_doubles(30'000, 55);
   seedref::QMax<> ref(q, 0.25);
+  std::vector<std::uint64_t> ids(vals.size());
   std::vector<EntryT> entries;
   entries.reserve(vals.size());
   for (std::size_t i = 0; i < vals.size(); ++i) {
     ref.add(i, vals[i]);
+    ids[i] = i;
     entries.push_back(EntryT{i, vals[i]});
   }
-  ConcurrentQMax<QMax<>> cq(q, {}, 256);
-  auto w0 = cq.writer();
-  auto w1 = cq.writer();
+  CQ by_add(q, {}, 256);
+  CQ by_ptr(q, {}, 256);
+  CQ by_span(q, {}, 256);
+  CQ::Writer add_w[2] = {by_add.writer(), by_add.writer()};
+  CQ::Writer ptr_w[2] = {by_ptr.writer(), by_ptr.writer()};
+  CQ::Writer span_w[2] = {by_span.writer(), by_span.writer()};
   std::uint64_t rng = 77;
   std::size_t pos = 0;
   while (pos < entries.size()) {
     const std::size_t run =
         std::min<std::size_t>(1 + splitmix64(rng) % 300, entries.size() - pos);
-    auto span = std::span<const EntryT>(entries.data() + pos, run);
-    if (splitmix64(rng) % 2 == 0) {
-      w0.add_batch(span);
-    } else {
-      w1.add_batch(span);
-    }
+    const std::size_t w = splitmix64(rng) % 2;
+    for (std::size_t i = pos; i < pos + run; ++i) add_w[w].add(ids[i], vals[i]);
+    const std::size_t by_ptr_staged =
+        ptr_w[w].add_batch(ids.data() + pos, vals.data() + pos, run);
+    ASSERT_EQ(span_w[w].add_batch(
+                  std::span<const EntryT>(entries.data() + pos, run)),
+              by_ptr_staged)
+        << "run at " << pos;
     pos += run;
   }
-  expect_same_values(cq.query(), ref.query(), "span batch");
-  EXPECT_EQ(cq.processed(), ref.processed());
+  EXPECT_EQ(by_span.processed(), by_ptr.processed());
+  EXPECT_EQ(by_span.screened_out(), by_ptr.screened_out());
+  EXPECT_EQ(by_span.buffered(), by_ptr.buffered());
+  EXPECT_EQ(by_span.handoffs(), by_ptr.handoffs());
+  EXPECT_EQ(by_add.processed(), by_ptr.processed());
+  const auto span_answer = by_span.query();
+  const auto ptr_answer = by_ptr.query();
+  auto by_val_id = [](const EntryT& a, const EntryT& b) {
+    return a.val != b.val ? a.val < b.val : a.id < b.id;
+  };
+  auto sorted = [&](std::vector<EntryT> v) {
+    std::sort(v.begin(), v.end(), by_val_id);
+    return v;
+  };
+  EXPECT_EQ(sorted(span_answer), sorted(ptr_answer)) << "span vs pointer batch";
+  expect_same_values(by_add.query(), ptr_answer, "add vs pointer batch");
+  expect_same_values(span_answer, ref.query(), "span batch");
+  EXPECT_EQ(by_span.processed(), ref.processed());
 }
 
 // ---------------------------------------------------------------------

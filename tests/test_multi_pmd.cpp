@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "qmax/concurrent.hpp"
 #include "qmax/qmax.hpp"
 #include "qmax/sharded.hpp"
@@ -158,32 +157,37 @@ TEST(MultiPmd, OneSwitchRunsEveryModeBackToBack) {
   }
 }
 
-TEST(MultiPmd, ConsumerBusySecondsArePositiveAndWithinCallWall) {
-  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 3});
-  sw.install_default_rules();
+TEST(MultiPmd, EachForwardModeRunsItsConsumerCount) {
+  // consumer_count() only grows, so each mode gets a fresh 3-PMD switch:
+  // one monitor, one consumer per ring, and the requested two.
   MinSizePacketGenerator gen(5'000, 9);
   const auto packets = take_packets(gen, 60'000);
-  auto burn = [](std::size_t, const MonitorRecord& r) {
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 20; ++i) sink = sink + r.length * i;
+  auto sink = [](std::size_t, const MonitorRecord&) {};
+  auto consumers_after = [&](auto forward, const char* mode) {
+    MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 3});
+    sw.install_default_rules();
+    const MultiRunResult res = forward(sw);
+    EXPECT_EQ(res.total_drained(), packets.size()) << mode;
+    return sw.consumer_count();
   };
-  auto check = [](const MultiRunResult& res, double wall, std::size_t m,
-                  const char* mode) {
-    ASSERT_EQ(res.consumer_busy_seconds.size(), m) << mode;
-    for (const double s : res.consumer_busy_seconds) {
-      EXPECT_GT(s, 0.0) << mode;
-      EXPECT_LE(s, wall) << mode;
-    }
-  };
-  qmax::common::Stopwatch sw_wall;
-  auto res = sw.forward_monitored(packets, burn);
-  check(res, sw_wall.seconds(), 1, "forward_monitored");
-  sw_wall.reset();
-  res = sw.forward_sharded(packets, burn);
-  check(res, sw_wall.seconds(), 3, "forward_sharded");
-  sw_wall.reset();
-  res = sw.forward_concurrent(packets, 2, burn);
-  check(res, sw_wall.seconds(), 2, "forward_concurrent");
+  EXPECT_EQ(consumers_after(
+                [&](MultiPmdSwitch& sw) {
+                  return sw.forward_monitored(packets, sink);
+                },
+                "forward_monitored"),
+            1u);
+  EXPECT_EQ(consumers_after(
+                [&](MultiPmdSwitch& sw) {
+                  return sw.forward_sharded(packets, sink);
+                },
+                "forward_sharded"),
+            3u);
+  EXPECT_EQ(consumers_after(
+                [&](MultiPmdSwitch& sw) {
+                  return sw.forward_concurrent(packets, 2, sink);
+                },
+                "forward_concurrent"),
+            2u);
 }
 
 TEST(MultiPmd, RssDispatchFormulasArePinned) {
@@ -232,9 +236,6 @@ TEST(MultiPmd, SkewAccessorsReportPerPmdSpread) {
   idle.per_pmd[0].packets = 1000;
   idle.per_pmd[0].seconds = 1.0;
   EXPECT_DOUBLE_EQ(idle.pmd_skew(), 1.0) << "degenerate: idle PMD";
-
-  EXPECT_DOUBLE_EQ(res.modeled_consumer_mpps(), 0.0)
-      << "no consumer_busy_seconds recorded";
 }
 
 TEST(MultiPmd, ShardedConsumersReceiveEveryRecordExactlyOnce) {
@@ -262,8 +263,6 @@ TEST(MultiPmd, ShardedConsumersReceiveEveryRecordExactlyOnce) {
   EXPECT_EQ(count[0] + count[1] + count[2], 90'000u);
   EXPECT_EQ(res.packets, 90'000u);
   EXPECT_EQ(res.total_drained(), 90'000u);
-  ASSERT_EQ(res.consumer_busy_seconds.size(), 3u);
-  EXPECT_GT(res.modeled_consumer_mpps(), 0.0);
   // Per-ring consumer telemetry exists for each ring after a sharded run.
   EXPECT_EQ(sw.consumer_count(), 3u);
 }
@@ -315,8 +314,6 @@ TEST(MultiPmd, ConcurrentConsumersReceiveEveryRecordExactlyOnce) {
   EXPECT_EQ(count, 90'000u);
   EXPECT_EQ(res.packets, 90'000u);
   EXPECT_EQ(res.total_drained(), 90'000u);
-  ASSERT_EQ(res.consumer_busy_seconds.size(), 2u);
-  EXPECT_GT(res.modeled_consumer_mpps(), 0.0);
   EXPECT_EQ(sw.consumer_count(), 2u);
 }
 

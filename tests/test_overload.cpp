@@ -250,6 +250,7 @@ TEST(Overload, GracefulIdleConsumerStaysInNormalState) {
   EXPECT_EQ(res.degrade_peak,
             static_cast<std::uint8_t>(DegradeState::kNormal));
   EXPECT_EQ(res.degrade_transitions, 0u);
+  EXPECT_EQ(res.deescalations, 0u);
 }
 
 }  // namespace
