@@ -8,9 +8,10 @@
 #
 # Allowlist:
 #   src/common/select.hpp   — defines IncrementalSelect (and its
-#                             nth_element fallback)
-#   src/qmax/core.hpp       — defines partition_top and hosts the one
-#                             IncrementalSelect instance (ParityEngine)
+#                             nth_element bail-out)
+#   src/qmax/core.hpp       — runs IncrementalSelect twice: stepped in
+#                             ParityEngine, and to completion in
+#                             partition_top; it calls no nth_element
 #   src/qmax/invariants.hpp — keeps an independent nth_element as the
 #                             Theorem-1 cross-check oracle, deliberately
 #                             not sharing code with what it audits

@@ -20,7 +20,7 @@
 //   * MaintenancePolicy — WHEN and HOW the array is pruned back to q
 //     items. DeamortizedMaintenance is Algorithm 1 (parity array,
 //     incremental selection, worst-case O(1/γ)); AmortizedMaintenance is
-//     Algorithm 2 (append + one nth_element pass per ⌈qγ⌉ admissions,
+//     Algorithm 2 (append + one partition_top pass per ⌈qγ⌉ admissions,
 //     amortized O(1/γ)).
 //
 // The core owns the admission gate (Ψ test + fault-injection site), the
@@ -33,9 +33,10 @@
 // instead of an eviction walk.
 //
 // This file and common/select.hpp are the ONLY places selection/partition
-// logic is allowed to live (invariants.hpp keeps an independent
-// nth_element as a cross-check oracle); scripts/check_no_duplicate_selection.sh
-// enforces that in CI.
+// logic is allowed to live, and both selections here (ParityEngine's
+// stepped one and partition_top) run common::IncrementalSelect
+// (invariants.hpp keeps an independent nth_element as a cross-check
+// oracle); scripts/check_no_duplicate_selection.sh enforces that in CI.
 #pragma once
 
 #include <algorithm>
@@ -44,6 +45,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -67,14 +70,18 @@ namespace qmax::core {
 
 /// The library's one top-k partition primitive: reorder [first, last) so
 /// the `take` best elements under `comp` occupy the prefix, with the
-/// take-th best exactly at position take-1 (nth_element semantics).
-/// Precondition: 0 < take < distance(first, last).
-template <typename It, typename Comp>
+/// take-th best exactly at position take-1 (nth_element semantics). It runs
+/// the same selection machine as ParityEngine's stepped selection, to
+/// completion, with a sampled pivot on every large pass.
+/// Precondition: 0 < take <= distance(first, last).
+template <std::contiguous_iterator It, typename Comp>
 inline void partition_top(It first, std::size_t take, It last, Comp comp) {
   [[maybe_unused]] telemetry::Span trace_span(
       telemetry::Stage::kPartitionTop);
-  std::nth_element(first, first + static_cast<std::ptrdiff_t>(take - 1), last,
-                   std::move(comp));
+  common::IncrementalSelect<std::iter_value_t<It>, Comp> select;
+  select.start(std::to_address(first), static_cast<std::size_t>(last - first),
+               take - 1, std::move(comp));
+  select.finish();
 }
 
 /// Monotone CAS-max on a shared admission bound — the one publish
@@ -182,8 +189,9 @@ struct ParityEngine {
         std::ceil(static_cast<double>(q) * gamma / 2.0));
     if (g_ == 0) g_ = 1;
     arr_.assign(q_ + 2 * g_, empty_);
-    // The selection needs ~2-3(q+g) expected ops per iteration of g
-    // steps; budget_factor scales the per-step allowance above that.
+    // The selection needs ~1-2.5(q+g) ops per iteration of g steps on
+    // measured streams; budget_factor scales the per-step allowance above
+    // that.
     const std::size_t m = q_ + g_;
     step_budget_ = static_cast<std::uint64_t>(budget_factor) *
                        ((m + g_ - 1) / g_) +
@@ -214,26 +222,30 @@ struct ParityEngine {
 
   /// Account one admission (the host has already written next_slot()):
   /// advances the budgeted selection and ends the iteration at g steps.
-  /// Returns the selection ops this admission consumed (for histograms).
+  /// Returns the selection ops this admission consumed (for histograms),
+  /// including, for the admission that ends an iteration, a late
+  /// selection's synchronous finish and the next selection's sampled
+  /// first pivot.
   template <typename OnPsi, typename OnEnd>
   std::uint64_t note_admission(OnPsi&& on_psi, OnEnd&& on_end) {
     ++steps_;
     const std::uint64_t ops_before = select_.total_ops();
     advance_selection(on_psi);
-    const std::uint64_t delta = select_.total_ops() - ops_before;
-    if (steps_ == g_) end_iteration(on_psi, on_end);
-    return delta;
+    std::uint64_t ops = select_.total_ops() - ops_before;
+    if (steps_ == g_) ops += end_iteration(on_psi, on_end);
+    return ops;
   }
 
-  void begin_iteration() {
+  /// Returns the ops spent choosing the new selection's first pivot.
+  std::uint64_t begin_iteration() {
     // Parity A selects ascending at k = g (the (g+1)-th smallest of the
     // q+g candidates is the q-th largest); parity B selects descending at
     // k = q-1. Both leave the q winners in the middle slots [g, g+q).
     const std::size_t m = q_ + g_;
     const bool desc = !parity_a_;
     const std::size_t k = parity_a_ ? g_ : q_ - 1;
-    select_.start(arr_.data() + candidate_base(), m, k, Order{desc});
     psi_applied_ = false;
+    return select_.start(arr_.data() + candidate_base(), m, k, Order{desc});
   }
 
   template <typename OnPsi>
@@ -253,14 +265,19 @@ struct ParityEngine {
     psi_applied_ = true;
   }
 
+  /// Returns the selection ops it ran: a late selection's finish plus the
+  /// next selection's first pivot.
   template <typename OnPsi, typename OnEnd>
-  void end_iteration(OnPsi&& on_psi, OnEnd&& on_end) {
+  std::uint64_t end_iteration(OnPsi&& on_psi, OnEnd&& on_end) {
     [[maybe_unused]] telemetry::Span trace_span(
         telemetry::Stage::kMaintenance);
+    std::uint64_t ops = 0;
     if (!select_.done()) {
       // Safety net: the adversarial-pivot case. Finish synchronously.
       ++late_selections_;
+      const std::uint64_t before = select_.total_ops();
       select_.finish();
+      ops = select_.total_ops() - before;
     }
     apply_threshold(on_psi);
     // Crash-at-site: Ψ possibly raised, losers not yet evicted, parity
@@ -269,7 +286,7 @@ struct ParityEngine {
     on_end(parity_a_ ? std::size_t{0} : g_ + q_, g_);
     parity_a_ = !parity_a_;
     steps_ = 0;
-    begin_iteration();
+    return ops + begin_iteration();
   }
 
   /// Snapshot hook: the slot array plus the scalar scheduler state (Ψ,
@@ -328,8 +345,8 @@ struct DeamortizedMaintenance {
     /// performs O(1/γ) work. The paper sweeps γ from 2.5% to 200%.
     double gamma = 0.25;
     /// Safety factor on the per-step selection budget. The selection needs
-    /// ~2-3(q+g) expected ops per iteration of g steps; budget_factor
-    /// scales the per-step allowance above that expectation.
+    /// ~1-2.5(q+g) ops per iteration of g steps on measured streams;
+    /// budget_factor scales the per-step allowance above that.
     unsigned budget_factor = 4;
   };
 

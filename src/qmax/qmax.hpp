@@ -12,7 +12,8 @@
 // written into the scratch region; each admission also advances an
 // incremental selection over the (stable) candidate region by a bounded
 // operation budget — the paper's SelectStep/PivotStep, fused here into one
-// nth_element-style pass (see common/select.hpp). The selection orders the
+// nth_element-style pass whose first pivot comes from a sample near the
+// target rank (see common/select.hpp). The selection orders the
 // candidates so the q largest occupy the middle [g, g+q); its nth element
 // *is* the new q-th-largest bound Ψ. When the iteration's g admissions
 // complete, the g losing slots are batch-evicted and the parity flips, so

@@ -16,7 +16,7 @@
 //        ⋮            ⋮                ⋮          ├─ global Ψ = maxᵢ Ψᵢ
 //     ring S ──► consumer S ──► shard S (q, γ) ──┘ (relaxed atomic max)
 //                                   │
-//            query(): concat shard top-q's ─► core::partition_top ─► top q
+//       query(): concat shard live sets ─► core::partition_top ─► top q
 //
 // Global-Ψ broadcast. Each shard's local Ψ_s is a lower bound on the q-th
 // largest item of the stream *that shard saw* — hence also of the global
@@ -34,9 +34,10 @@
 // s is one of shard s's top q admitted items (at most q such items exist
 // per shard, each ≥ every non-top-q item), and the folded gate only ever
 // rejected items provably below q others — so concatenating the per-shard
-// top-q survivor sets always contains the exact global top q, which one
-// core::partition_top pass extracts. tests/test_sharded_qmax.cpp proves
-// bit-identity against a single-reservoir seed-reference run per trace.
+// live sets (each a superset of its shard's top q) always contains the
+// exact global top q, which one core::partition_top pass extracts.
+// tests/test_sharded_qmax.cpp proves bit-identity against a
+// single-reservoir seed-reference run per trace.
 //
 // Threading contract: shard s is single-writer (exactly one thread calls
 // add/add_batch with index s); query() and the aggregate accessors
@@ -79,7 +80,7 @@ class ShardedQMax {
   /// broadcast counters below are plain fields instead, one writer each).
   struct Telemetry {
     telemetry::Counter merge_queries;     // merge-on-query invocations
-    telemetry::Histogram merge_gathered;  // shard survivors concatenated
+    telemetry::Histogram merge_gathered;  // shard live items concatenated
 
     template <typename Fn>
     void visit(Fn&& fn) const {
@@ -104,7 +105,7 @@ class ShardedQMax {
     for (std::size_t s = 0; s < shards; ++s) {
       shards_.push_back(std::make_unique<Shard>(q, opts));
     }
-    merge_.reserve(shards * q);
+    merge_.reserve(shards * shards_.front()->core.capacity());
   }
 
   // ---- Shard-side ingestion (single writer per shard) -----------------
@@ -153,16 +154,18 @@ class ShardedQMax {
   // ---- Merge-on-query (writers quiescent) -----------------------------
 
   /// Append the exact global top q (fewer if the combined stream is
-  /// shorter) to `out`, unordered: concatenate every shard's top-q
-  /// survivors, then one partition pass over the ≤ S·q candidates.
+  /// shorter) to `out`, unordered: concatenate every shard's live items,
+  /// then one partition pass over the ≤ S·capacity candidates. Each
+  /// shard's live set contains that shard's top q, so the union contains
+  /// the global top q.
   ///
   /// Clean-query skip: each shard's processed() is its dirty epoch —
   /// every mutation (adds, folds, maintenance) happens inside an add, so
   /// an unchanged count means the shard's live set is unchanged. When no
   /// shard advanced since the last merge, the cached result is replayed
-  /// without re-gathering S·q candidates or re-running partition_top
+  /// without re-gathering S·capacity candidates or re-running partition_top
   /// (counted in merges_skipped_clean()). Dashboards and watchdogs that poll
-  /// query() between bursts pay O(q) copy instead of O(S·q log) merge.
+  /// query() between bursts pay O(q) copy instead of an O(S·capacity) merge.
   void query_into(std::vector<EntryT>& out) const {
     [[maybe_unused]] telemetry::Span trace_span(
         telemetry::Stage::kMergeQuery);
@@ -173,7 +176,9 @@ class ShardedQMax {
       return;
     }
     merge_.clear();
-    for (const auto& sh : shards_) sh->core.query_into(merge_);
+    for (const auto& sh : shards_) {
+      sh->core.for_each_live([this](const EntryT& e) { merge_.push_back(e); });
+    }
     tm_.merge_gathered.record(merge_.size());
     const std::size_t take = std::min(q_, merge_.size());
     if (take < merge_.size()) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -156,6 +157,11 @@ TEST(Overload, ShedBelowPsiMatchesBackpressureTopQ) {
     // are slow — otherwise the ladder never climbs past backpressure.
     cfg.bp_spin_budget = 2;
     cfg.shed_period = 0;  // skip probabilistic: only Ψ-safe shedding
+    // Watchdog drops are not Ψ-safe: a consumer descheduled for the
+    // default budget would lose top records. This test is about
+    // shed-below-Ψ; WatchdogBreaksStalledConsumerDeadlock covers the
+    // watchdog.
+    cfg.watchdog_spin_budget = SIZE_MAX;
     cfg.psi_source = &gr_mon.psi_pub;
     cfg.record_value = &record_value;
     MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 1, .per_pmd = cfg});
@@ -166,6 +172,7 @@ TEST(Overload, ShedBelowPsiMatchesBackpressureTopQ) {
   EXPECT_EQ(gr_res.shed_probabilistic, 0u);
   EXPECT_GT(gr_res.shed_below_psi, 0u)
       << "overload never engaged Ψ shedding — test is vacuous";
+  EXPECT_EQ(gr_res.watchdog_drops, 0u);
   EXPECT_EQ(sorted_query(gr_mon.reservoir), sorted_query(bp_mon.reservoir))
       << "Ψ-safe shedding must not change the retained top q";
 

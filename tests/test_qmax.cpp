@@ -245,6 +245,52 @@ TEST(QMax, DeamortizedSelectionFinishesOnTime) {
   EXPECT_EQ(r.late_selections(), 0u);
 }
 
+// The same guarantee at the paper's scale (q = 10^6). Each cell is a
+// uniform stream on which median-of-3 pivots ran late: the first late
+// selection fired at item 1,037,757 (γ = 0.025, seed 1) and 4,554,341
+// (γ = 0.05, seed 6). Sampled first pivots finish these on time.
+void expect_no_late_selection(double gamma, std::uint64_t seed,
+                              std::size_t items) {
+  QMax<> r(1'000'000, gamma);
+  Xoshiro256 rng(seed);
+  std::vector<std::uint64_t> ids(1 << 16);
+  std::vector<double> vals(ids.size());
+  for (std::size_t base = 0; base < items; base += ids.size()) {
+    const std::size_t n = std::min(ids.size(), items - base);
+    for (std::size_t j = 0; j < n; ++j) {
+      ids[j] = base + j;
+      vals[j] = rng.uniform();
+    }
+    r.add_batch(ids.data(), vals.data(), n);
+  }
+  EXPECT_EQ(r.late_selections(), 0u) << "gamma " << gamma << " seed " << seed;
+}
+
+TEST(QMax, DeamortizedSelectionFinishesOnTimeAtPaperScaleSmallGamma) {
+  expect_no_late_selection(0.025, 1, 2'000'000);
+}
+
+TEST(QMax, DeamortizedSelectionFinishesOnTimeAtPaperScale) {
+  expect_no_late_selection(0.05, 6, 5'000'000);
+}
+
+TEST(QMax, StepsPerAddCountsTheIterationEnd) {
+  // With no per-step budget the selection never advances inside an
+  // iteration, so every selection runs synchronously in the admission that
+  // ends it. That admission must record the work: at least one pass over
+  // the q + g candidates.
+  if constexpr (!qmax::telemetry::kEnabled) {
+    GTEST_SKIP() << "steps_per_add is an instrumented-build histogram";
+  }
+  const std::size_t q = 4096;
+  QMax<> r(q, {.gamma = 0.25, .budget_factor = 0});
+  for (std::size_t i = 0; i < 20 * q; ++i) {
+    r.add(i, static_cast<double>(i));
+  }
+  EXPECT_GT(r.late_selections(), 0u);
+  EXPECT_GE(r.telem().steps_per_add.max(), q);
+}
+
 TEST(QMax, LargeGammaLargerThanOne) {
   const std::size_t q = 25;
   QMax<> r(q, 2.0);  // γ = 200%, the paper's largest setting

@@ -79,7 +79,8 @@ class QMaxGrid : public ::testing::TestWithParam<Param> {};
 
 TEST_P(QMaxGrid, PrefixInvariant) {
   const auto p = GetParam();
-  const std::size_t n = 12'000;
+  // At least 10 q items, so even the largest q runs many iterations.
+  const std::size_t n = std::max<std::size_t>(12'000, 10 * p.q);
   QMax<> r(p.q, p.gamma);
   Xoshiro256 rng(p.q * 1000 + static_cast<std::uint64_t>(p.gamma * 100) +
                  static_cast<std::uint64_t>(p.shape));
@@ -120,7 +121,9 @@ constexpr Shape kShapes[] = {Shape::kUniform,  Shape::kAscending,
 
 std::vector<Param> make_grid() {
   std::vector<Param> grid;
-  for (std::size_t q : {1, 2, 7, 64, 500}) {
+  // q = 4096 puts the q + g candidates above the selection's sampling
+  // threshold, so every shape also runs the sampled first pivot.
+  for (std::size_t q : {1, 2, 7, 64, 500, 4096}) {
     for (double gamma : {0.01, 0.1, 0.5, 2.0}) {
       for (Shape s : kShapes) grid.push_back(Param{q, gamma, s});
     }
