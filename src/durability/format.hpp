@@ -23,6 +23,7 @@
 // identity, not value equality.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -52,11 +53,16 @@ class SnapshotError : public std::runtime_error {
 using common::codec::crc64;
 
 /// Serializing archive: appends fields to a caller's byte vector, behind
-/// whatever it already holds. The count-only form (`Writer(kCountOnly)`)
-/// runs the same methods over the same traversal and stores nothing;
-/// size() then says how many bytes a writing pass appends. snapshot()
-/// sizes its one image allocation that way, so the size comes from the
-/// field list itself rather than from a formula kept beside it.
+/// whatever it already holds, and keeps a running CRC-64 of what it
+/// appended. The count-only form (`Writer(kCountOnly)`) runs the same
+/// methods over the same traversal and stores nothing; size() then says
+/// how many bytes a writing pass appends. snapshot() sizes its one image
+/// allocation that way, so the size comes from the field list itself
+/// rather than from a formula kept beside it.
+///
+/// Bytes are appended by insert into the reserved capacity (no zero-fill
+/// first), and checksummed in chunks of kCrcChunk bytes right after they
+/// land, while they are still in L1: each payload byte is touched once.
 class Writer {
  public:
   static constexpr bool kLoading = false;
@@ -101,7 +107,19 @@ class Writer {
   /// Bytes appended so far (count-only: bytes a writing pass appends).
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
+  /// CRC-64/XZ of the bytes appended so far (writing pass only; the
+  /// count-only pass computes no checksum and reads 0).
+  [[nodiscard]] std::uint64_t crc() const noexcept {
+    if (out_ == nullptr) return 0;
+    return ~common::codec::crc64_extend(
+        crc_, out_->data() + (out_->size() - pending_), pending_);
+  }
+
  private:
+  /// Checksum granularity: small enough that a chunk is still in L1 when
+  /// the CRC reads it, large enough that small fields share a loop call.
+  static constexpr std::size_t kCrcChunk = std::size_t{32} << 10;
+
   template <typename T>
   void put(T v) {
     static_assert(std::is_integral_v<T> || std::is_same_v<T, std::uint8_t>);
@@ -109,10 +127,25 @@ class Writer {
   }
   void append(const void* p, std::size_t n) {
     size_ += n;
-    if (out_ != nullptr) common::codec::append(*out_, p, n);
+    if (out_ == nullptr) return;
+    const auto* b = static_cast<const std::byte*>(p);
+    while (n > 0) {
+      const std::size_t m = std::min(n, kCrcChunk - pending_);
+      out_->insert(out_->end(), b, b + m);
+      b += m;
+      n -= m;
+      pending_ += m;
+      if (pending_ == kCrcChunk) {
+        crc_ = common::codec::crc64_extend(
+            crc_, out_->data() + (out_->size() - kCrcChunk), kCrcChunk);
+        pending_ = 0;
+      }
+    }
   }
   std::vector<std::byte>* out_ = nullptr;  // null in count-only mode
   std::size_t size_ = 0;
+  std::uint64_t crc_ = ~0ull;  // raw register over the checksummed bytes
+  std::size_t pending_ = 0;    // appended bytes not yet checksummed
 };
 
 /// Deserializing archive: consumes fields from a bounds-checked cursor

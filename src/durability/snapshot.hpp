@@ -84,8 +84,9 @@ template <typename T>
   }
   // serialize_state is a read-only traversal on the save path; the
   // non-const signature exists because the identical field list mutates
-  // on load. The count pass sizes the image, so it is allocated once and
-  // the payload is written and checksummed in place behind the header.
+  // on load. The count pass sizes the image, so it is allocated once; the
+  // writing pass appends the payload behind the header and checksums it
+  // as it goes, so the payload is not read a second time.
   T& src = const_cast<T&>(obj);
   Writer counter(Writer::kCountOnly);
   src.serialize_state(counter, version);
@@ -100,7 +101,7 @@ template <typename T>
   detail::put_le(image, 8, version);
   detail::put_le(image, 12, T::snapshot_tag());
   detail::put_le(image, 16, static_cast<std::uint64_t>(payload_size));
-  detail::put_le(image, 24, crc64(image.data() + kHeaderSize, payload_size));
+  detail::put_le(image, 24, w.crc());
   return image;
 }
 

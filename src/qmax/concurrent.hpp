@@ -228,7 +228,7 @@ class ConcurrentQMax {
 
   [[nodiscard]] std::vector<EntryT> query() const {
     std::vector<EntryT> out;
-    out.reserve(core_.q());
+    out.reserve(core_.capacity());
     query_into(out);
     return out;
   }

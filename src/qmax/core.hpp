@@ -84,6 +84,28 @@ inline void partition_top(It first, std::size_t take, It last, Comp comp) {
   select.finish();
 }
 
+/// Make room for `extra` more elements behind v's size. A short vector
+/// grows to at least twice its capacity rather than to the exact size, so
+/// a buffer refilled block by block reallocates O(log n) times in all.
+template <typename T>
+inline void grow_for(std::vector<T>& v, std::size_t extra) {
+  if (v.capacity() - v.size() < extra) {
+    v.reserve(std::max(v.size() + extra, 2 * v.capacity()));
+  }
+}
+
+/// Keep the `take` best of the elements behind position `base` (all of
+/// them if there are no more than `take`): partition_top over that range,
+/// then truncate it to `take`.
+template <typename T, typename Comp>
+inline void keep_top(std::vector<T>& v, std::size_t base, std::size_t take,
+                     Comp comp) {
+  const auto first = v.begin() + static_cast<std::ptrdiff_t>(base);
+  if (v.size() - base <= take) return;
+  if (take > 0) partition_top(first, take, v.end(), std::move(comp));
+  v.erase(first + static_cast<std::ptrdiff_t>(take), v.end());
+}
+
 /// Monotone CAS-max on a shared admission bound — the one publish
 /// primitive behind every cross-writer Ψ handoff (ShardedQMax's broadcast,
 /// ConcurrentQMax's writer screens). Raises `bound` to `v` unless another
@@ -414,14 +436,20 @@ struct DeamortizedMaintenance {
 
   /// The post-admission-test path: scratch write, bounded selection
   /// advance, iteration end at g steps. The caller has already
-  /// established val > Ψ.
+  /// established val > Ψ. steps_per_add records the selection ops plus,
+  /// for the admission that ends an iteration, the g loser slots the
+  /// eviction walk visits.
   void admit(Id id, Value val) {
     eng_.arr_[eng_.next_slot()] = EntryT{id, val};
     ++live_;
+    std::uint64_t walked = 0;
     const std::uint64_t delta = eng_.note_admission(
         [&] { tm_.psi_updates.inc(); },
-        [&](std::size_t lo, std::size_t count) { evict_losers(lo, count); });
-    tm_.steps_per_add.record(delta);
+        [&](std::size_t lo, std::size_t count) {
+          evict_losers(lo, count);
+          walked = count;
+        });
+    tm_.steps_per_add.record(delta + walked);
   }
 
   /// Visit every live item (the top q plus up to q·γ recent/undecided
@@ -442,11 +470,6 @@ struct DeamortizedMaintenance {
       visit(0, eng_.steps_);                // filled scratch
       visit(g, eng_.arr_.size());           // candidates
     }
-  }
-
-  void gather(std::vector<EntryT>& buf) const {
-    buf.clear();
-    for_each_live([&](const EntryT& e) { buf.push_back(e); });
   }
 
   void reset() noexcept {
@@ -610,11 +633,6 @@ struct AmortizedMaintenance {
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
     for (const auto& e : arr_) fn(e);
-  }
-
-  void gather(std::vector<EntryT>& buf) const {
-    buf.clear();
-    buf.insert(buf.end(), arr_.begin(), arr_.end());
   }
 
   void reset() noexcept {
@@ -807,11 +825,6 @@ struct SampledMaintenance {
     for (const auto& e : arr_) fn(e);
   }
 
-  void gather(std::vector<EntryT>& buf) const {
-    buf.clear();
-    buf.insert(buf.end(), arr_.begin(), arr_.end());
-  }
-
   void reset() noexcept {
     arr_.clear();
     psi_ = VP::empty();
@@ -969,14 +982,13 @@ class ReservoirCore {
   ReservoirCore(std::size_t q, Options opts, WindowPolicy window,
                 const char* who)
       : q_(q), window_(window), maint_(q, opts, who) {
-    // Working buffers are sized up front so neither the first query() nor
-    // the first add_batch() allocates mid-measurement.
-    scratch_.reserve(maint_.capacity());
-    // Only non-identity windows stage runs here, but the scratch is sized
-    // for every window. Dropping it for identity windows shifted glibc's
-    // heap layout enough that bench/e2e's setup_s (a q = 10^5 QMax rebuilt
-    // in the memory the previous one freed) read about 1.9x slower: the
-    // slot-array fill itself ran slower, with no extra page faults.
+    // The batch buffers are sized up front so the first add_batch() does
+    // not allocate mid-measurement. Only non-identity windows stage runs
+    // here, but the buffers are sized for every window. Dropping them for
+    // identity windows shifted glibc's heap layout enough that bench/e2e's
+    // setup_s (a q = 10^5 QMax rebuilt in the memory the previous one
+    // freed) read about 1.9x slower: the slot-array fill itself ran
+    // slower, with no extra page faults.
     batch_ids_.resize(batch::kPrefilterBlock);
     batch_keys_.resize(batch::kPrefilterBlock);
   }
@@ -1072,22 +1084,20 @@ class ReservoirCore {
   }
 
   /// Append the q largest live items (fewer if the stream is shorter than
-  /// q) to `out`, unordered. O(capacity) time, non-destructive.
+  /// q) to `out`, unordered. O(capacity) time, non-destructive. The live
+  /// items are gathered straight behind `out`'s current size, selected in
+  /// place and truncated, so no second buffer is written.
   void query_into(std::vector<EntryT>& out) const {
-    maint_.gather(scratch_);
-    const std::size_t take = std::min(q_, scratch_.size());
-    if (take == 0) return;
-    if (take < scratch_.size()) {
-      partition_top(scratch_.begin(), take, scratch_.end(),
-                    typename ValuePolicy::Order{.descending = true});
-    }
-    out.insert(out.end(), scratch_.begin(),
-               scratch_.begin() + static_cast<std::ptrdiff_t>(take));
+    const std::size_t base = out.size();
+    core::grow_for(out, maint_.live_count());
+    maint_.for_each_live([&out](const EntryT& e) { out.push_back(e); });
+    core::keep_top(out, base, q_,
+                   typename ValuePolicy::Order{.descending = true});
   }
 
   [[nodiscard]] std::vector<EntryT> query() const {
     std::vector<EntryT> out;
-    out.reserve(q_);
+    out.reserve(capacity());
     query_into(out);
     return out;
   }
@@ -1243,7 +1253,6 @@ class ReservoirCore {
   MaintenancePolicy maint_;
   std::uint64_t processed_ = 0;
   std::uint64_t admitted_ = 0;
-  mutable std::vector<EntryT> scratch_;   // query gather buffer (reused)
   std::vector<Id> batch_ids_;             // non-identity windows: valid-item
   std::vector<Value> batch_keys_;         //   compaction scratch per run
 };

@@ -105,7 +105,6 @@ class ShardedQMax {
     for (std::size_t s = 0; s < shards; ++s) {
       shards_.push_back(std::make_unique<Shard>(q, opts));
     }
-    merge_.reserve(shards * shards_.front()->core.capacity());
   }
 
   // ---- Shard-side ingestion (single writer per shard) -----------------
@@ -154,10 +153,11 @@ class ShardedQMax {
   // ---- Merge-on-query (writers quiescent) -----------------------------
 
   /// Append the exact global top q (fewer if the combined stream is
-  /// shorter) to `out`, unordered: concatenate every shard's live items,
-  /// then one partition pass over the ≤ S·capacity candidates. Each
-  /// shard's live set contains that shard's top q, so the union contains
-  /// the global top q.
+  /// shorter) to `out`, unordered: gather every shard's live items
+  /// straight behind `out`'s current size, run one partition pass over
+  /// the ≤ S·capacity candidates there, and truncate to q; the kept range
+  /// also refills the clean-query cache. Each shard's live set contains
+  /// that shard's top q, so the union contains the global top q.
   ///
   /// Clean-query skip: each shard's processed() is its dirty epoch —
   /// every mutation (adds, folds, maintenance) happens inside an add, so
@@ -175,25 +175,23 @@ class ShardedQMax {
       out.insert(out.end(), merge_cache_.begin(), merge_cache_.end());
       return;
     }
-    merge_.clear();
+    const std::size_t base = out.size();
+    core::grow_for(out, live_count());
     for (const auto& sh : shards_) {
-      sh->core.for_each_live([this](const EntryT& e) { merge_.push_back(e); });
+      sh->core.for_each_live([&out](const EntryT& e) { out.push_back(e); });
     }
-    tm_.merge_gathered.record(merge_.size());
-    const std::size_t take = std::min(q_, merge_.size());
-    if (take < merge_.size()) {
-      core::partition_top(merge_.begin(), take, merge_.end(),
-                          Order{.descending = true});
-    }
-    merge_cache_.assign(merge_.begin(),
-                        merge_.begin() + static_cast<std::ptrdiff_t>(take));
+    tm_.merge_gathered.record(out.size() - base);
+    core::keep_top(out, base, q_, Order{.descending = true});
+    merge_cache_.assign(out.begin() + static_cast<std::ptrdiff_t>(base),
+                        out.end());
     note_merge_epochs();
-    out.insert(out.end(), merge_cache_.begin(), merge_cache_.end());
   }
 
   [[nodiscard]] std::vector<EntryT> query() const {
     std::vector<EntryT> out;
-    out.reserve(q_);
+    std::size_t capacity = 0;
+    for (const auto& sh : shards_) capacity += sh->core.capacity();
+    out.reserve(capacity);
     query_into(out);
     return out;
   }
@@ -385,7 +383,6 @@ class ShardedQMax {
   bool broadcast_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<Value> global_psi_{kEmptyValue<Value>};
-  mutable std::vector<EntryT> merge_;        // query gather buffer (reused)
   mutable std::vector<EntryT> merge_cache_;  // last merged top-q (≤ q items)
   mutable std::vector<std::uint64_t> merge_epochs_;  // processed() per shard
   mutable bool merge_epoch_valid_ = false;

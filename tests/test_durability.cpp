@@ -161,6 +161,15 @@ TEST(SnapshotRoundTrip, QMaxTinyGamma) {
       [](const QMax<>& r) { return fingerprint(r); });
 }
 
+TEST(SnapshotRoundTrip, QMaxImageSpansCrcChunks) {
+  // A payload of about 80 KB: several of the Writer's checksum chunks,
+  // so the pinned bytewise CRC checks the running CRC across chunk
+  // boundaries (the other cells' images fit in one chunk).
+  expect_restore_equals_fresh(
+      [] { return QMax<>(4096, 0.25); }, drive_reservoir<QMax<>>,
+      [](const QMax<>& r) { return fingerprint(r); });
+}
+
 TEST(SnapshotRoundTrip, AmortizedQMax) {
   expect_restore_equals_fresh(
       [] { return AmortizedQMax<>(64, 0.25); },

@@ -35,16 +35,31 @@ double record_value(const MonitorRecord& rec) {
 /// Slow reservoir consumer that publishes Ψ, like the bench monitors.
 /// The burn is sized so one 64-record drain window dwarfs the producer's
 /// spin budget — the ladder must actually climb.
+///
+/// On an oversubscribed host a PMD's yield can outlast a whole drain
+/// window, so the ladder may never climb that way. The monitor therefore
+/// holds once, for 200 ms, on the first record after Ψ passes kHoldPsi:
+/// the ring stays full, the PMD escalates to shed-below-Ψ, and the record
+/// it is blocked on lies below Ψ with probability about kHoldPsi, so it
+/// sheds. Holding at Ψ's first rise (about 0.1 with q = 64) would shed
+/// with only that probability.
 struct SlowMonitor {
+  static constexpr double kHoldPsi = 0.99;  // ~6,400 records into 40,000
+
   qmax::QMax<std::uint32_t, double> reservoir;
   std::atomic<double> psi_pub{std::numeric_limits<double>::lowest()};
   int burn = 5'000;
+  bool held = false;  // monitor thread only
 
   void operator()(std::size_t, const MonitorRecord& rec) {
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < burn; ++i) sink = sink + rec.length * i;
     reservoir.add(rec.src_ip, record_value(rec));
     psi_pub.store(reservoir.threshold(), std::memory_order_relaxed);
+    if (!held && reservoir.threshold() > kHoldPsi) {
+      held = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
   }
 };
 

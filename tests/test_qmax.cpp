@@ -291,6 +291,22 @@ TEST(QMax, StepsPerAddCountsTheIterationEnd) {
   EXPECT_GE(r.telem().steps_per_add.max(), q);
 }
 
+TEST(QMax, StepsPerAddCountsTheEvictionWalk) {
+  // At the default budget every selection finishes inside its iteration,
+  // yet the admission that ends one still walks the g loser slots. That
+  // walk is part of the admission's work and must reach the histogram.
+  if constexpr (!qmax::telemetry::kEnabled) {
+    GTEST_SKIP() << "steps_per_add is an instrumented-build histogram";
+  }
+  const std::size_t q = 4096;
+  const std::size_t g = 512;  // ⌈qγ/2⌉ at γ = 0.25
+  QMax<> r(q, 0.25);
+  Xoshiro256 rng(21);
+  for (std::size_t i = 0; i < 20 * q; ++i) r.add(i, rng.uniform());
+  EXPECT_EQ(r.late_selections(), 0u);
+  EXPECT_GE(r.telem().steps_per_add.max(), g);
+}
+
 TEST(QMax, LargeGammaLargerThanOne) {
   const std::size_t q = 25;
   QMax<> r(q, 2.0);  // γ = 200%, the paper's largest setting
