@@ -160,11 +160,10 @@ class NwhhController {
 
   /// The single merge implementation. Entries arrive in report convention
   /// (val = −hash, as produced by Nmp::report_into); the in-process
-  /// collect() above, the serialized path (nwhh_wire.hpp), and the
-  /// networked controller service (net/controller.hpp) all funnel through
-  /// here, so the three deployment shapes cannot diverge. Re-shipping an
-  /// entry is idempotent (dedup by packet id), which is what makes agent
-  /// reconnect-and-replay safe.
+  /// collect() above and the networked controller service
+  /// (net/controller.hpp) both funnel through here, so the two deployment
+  /// shapes cannot diverge. Re-shipping an entry is idempotent (dedup by
+  /// packet id), which is what makes agent reconnect-and-replay safe.
   void collect_entries(std::span<const NwhhEntry> entries) {
     for (const auto& e : entries) {
       if (seen_.insert(e.id.packet_id).second) {

@@ -1,18 +1,16 @@
-// Wire format for NMP → controller reports.
+// Wire body for NMP → controller reports.
 //
 // In the paper's deployment the NMPs and the controller are different
 // machines: reports cross the network. This header gives the sample
-// report a stable little-endian encoding (magic, version, count,
-// fixed-width records) so reports can be shipped over any byte channel
-// and replayed across builds. The controller accepts serialized reports
-// directly (collect_serialized), and a report's wire size — 24 bytes per
-// sampled packet — is the per-epoch control-plane cost the paper's
-// network-wide schemes are designed to keep at O(k).
+// report a stable little-endian body (count, then fixed-width records);
+// the framed service protocol (net/protocol.hpp) carries it as the
+// REPORT payload, whose frame header supplies the magic, version and
+// checksum. A report's wire size — 24 bytes per sampled packet — is the
+// per-epoch control-plane cost the paper's network-wide schemes are
+// designed to keep at O(k).
 //
 // Byte-level encoding rides the shared codec (common/codec.hpp) — the
-// same little-endian primitives the durability archives use. The framed
-// service protocol (net/protocol.hpp) embeds the body of this encoding
-// (count + records, no magic) as its REPORT payload.
+// same little-endian primitives the durability archives use.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +23,6 @@
 #include "common/codec.hpp"
 
 namespace qmax::apps {
-
-inline constexpr std::uint32_t kReportMagic = 0x51524E57;  // "QRNW"
-inline constexpr std::uint32_t kReportVersion = 1;
 
 /// Bytes per serialized NwhhEntry record (packet id, flow, value).
 inline constexpr std::size_t kReportRecordBytes = 24;
@@ -78,45 +73,6 @@ inline void encode_report_body(std::span<const NwhhEntry> report,
     throw std::runtime_error("nwhh report: trailing bytes after records");
   }
   return report;
-}
-
-/// Serialize a report (as produced by Nmp::report_into) to bytes.
-[[nodiscard]] inline std::vector<std::uint8_t> encode_report(
-    std::span<const NwhhEntry> report) {
-  namespace codec = common::codec;
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + report.size() * kReportRecordBytes);
-  codec::put_le(out, kReportMagic);
-  codec::put_le(out, kReportVersion);
-  encode_report_body(report, out);
-  return out;
-}
-
-/// Parse a report produced by encode_report. Throws std::runtime_error on
-/// corruption (bad magic/version, truncation, hostile record counts, or
-/// trailing bytes).
-[[nodiscard]] inline std::vector<NwhhEntry> decode_report(
-    std::span<const std::uint8_t> bytes) {
-  common::codec::Cursor<std::uint8_t> cur(bytes);
-  std::uint32_t magic = 0, version = 0;
-  if (!cur.take_le(magic) || !cur.take_le(version)) {
-    throw std::runtime_error("nwhh report: truncated");
-  }
-  if (magic != kReportMagic) {
-    throw std::runtime_error("nwhh report: bad magic");
-  }
-  if (version != kReportVersion) {
-    throw std::runtime_error("nwhh report: unsupported version");
-  }
-  return decode_report_body(cur);
-}
-
-/// Controller-side ingestion of a serialized report: the remote
-/// equivalent of NwhhController::collect. Routes through the same
-/// collect_entries merge as the in-process path.
-inline void collect_serialized(NwhhController& controller,
-                               std::span<const std::uint8_t> bytes) {
-  controller.collect_entries(decode_report(bytes));
 }
 
 }  // namespace qmax::apps

@@ -143,6 +143,8 @@ class LrfuQMaxCache {
   [[nodiscard]] const Telemetry& telem() const noexcept { return tm_; }
 
   /// Snapshot self-description (durability/snapshot.hpp variant tags).
+  /// ConcurrentQMax shares the 0x06 prefix but never the bare value (see
+  /// ConcurrentQMax::snapshot_tag).
   [[nodiscard]] static constexpr std::uint32_t snapshot_tag() noexcept {
     return 0x06000000u;
   }

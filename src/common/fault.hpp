@@ -1,14 +1,13 @@
-// Compile-time-gated fault-injection harness.
+// Fault-injection harness, compiled into every build.
 //
-// Mirrors the QMAX_TELEMETRY pattern (telemetry/counters.hpp): every hook
-// has two definitions selected by the QMAX_FAULT_INJECTION gate (the CMake
-// option of the same name, default OFF):
-//
-//   OFF — every hook is an inline no-op (should_fire() is a constant
-//         false, the value/clock transforms are identity functions), so
-//         the injection points compile away entirely from the hot paths.
-//   ON  — a process-wide engine holds one schedule per named site;
-//         should_fire() counts the hit and decides deterministically.
+// A process-wide table holds one schedule per named site. Every site
+// starts disarmed, and only a test's call to arm() starts one firing:
+// no production code arms a site, and no environment variable or option
+// does either. A disarmed hook costs one acquire load and a not-taken
+// branch; the table is constant-initialised, so there is no static-init
+// guard. Every site sits on a cold path (construction, the end of a
+// maintenance pass, a snapshot persist, a socket call), never on a
+// per-item or per-pop path.
 //
 // Sites are the failure modes the robustness layer exercises:
 //
@@ -16,15 +15,6 @@
 //                    std::bad_alloc (QMax, AmortizedQMax, SpscRing, and
 //                    everything built from them: SlackQMax blocks,
 //                    TimeSlackQMax blocks, merge reservoirs).
-//   kRingPopStall  — SpscRing consumer reads report "empty", simulating a
-//                    stalled measurement program (drives the vswitch
-//                    watchdog/degradation ladder).
-//   kValueCorrupt  — reservoir add() sees a corrupted value (NaN for
-//                    floating-point domains, the reserved empty value for
-//                    integral ones); the admission guards must reject it.
-//   kClockSkew     — TimeSlackQMax timestamps jump backwards by the
-//                    schedule's magnitude; the monotonicity guard must
-//                    throw without corrupting state.
 //   kCrashPoint    — maintenance and snapshot-persist paths abort by
 //                    throwing InjectedCrash mid-operation, simulating
 //                    process death at that instruction; the crash-recovery
@@ -45,54 +35,42 @@
 //                    the session as lost and the receiver must cope with
 //                    a partial frame.
 //
+// Faults a caller can produce itself have no site: a poisoned value is a
+// NaN (or the reserved empty value) passed to add(), a skewed clock is a
+// backward timestamp, and a stalled consumer is one that stops popping.
+//
 // Schedules are deterministic: a site fires either periodically
 // ((hit + phase) % period == 0) or pseudo-randomly from a seeded hash of
 // the hit index — both reproducible run-to-run, both bounded by `limit`.
-// Hit counters are relaxed atomics so multi-threaded sites (the ring) stay
-// race-free under TSan; arming/disarming is intended to happen while the
-// structures under test are quiescent.
+// Hit counters are relaxed atomics so multi-threaded sites stay race-free
+// under TSan; arming/disarming is intended to happen while the structures
+// under test are quiescent.
 #pragma once
 
-#include <cstdint>
-#include <limits>
-
-#if defined(QMAX_FAULT_INJECTION) && QMAX_FAULT_INJECTION
-#define QMAX_FAULT_ENABLED 1
-#else
-#define QMAX_FAULT_ENABLED 0
-#endif
-
-#if QMAX_FAULT_ENABLED
 #include <array>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <new>
-#include <type_traits>
-#endif
 
 namespace qmax::fault {
-
-inline constexpr bool kEnabled = QMAX_FAULT_ENABLED == 1;
 
 /// Named injection points. Each site has an independent schedule and
 /// independent hit/fire counters.
 enum class Site : unsigned {
   kAllocFail = 0,
-  kRingPopStall,
-  kValueCorrupt,
-  kClockSkew,
   kCrashPoint,
   kSnapshotTornWrite,
   kNetConnect,
   kNetRead,
   kNetWrite,
 };
-inline constexpr unsigned kSiteCount = 9;
+inline constexpr unsigned kSiteCount = 6;
 
 /// Thrown by maybe_crash() to simulate process death at an injected site.
 /// Deliberately NOT derived from std::exception: production catch(...)-free
 /// error paths never intercept it by accident, only the recovery harness's
-/// explicit catch does. Defined in both gate states so harness code
-/// compiles either way (it just never fires when the gate is off).
+/// explicit catch does.
 struct InjectedCrash {
   Site site;
 };
@@ -116,10 +94,8 @@ struct Schedule {
   double probability = 0.0;       // used when period == 0
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
   std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t magnitude = 1'000;  // clock-skew displacement (time units)
+  std::uint64_t magnitude = 1'000;  // torn-write mode: magnitude % 3
 };
-
-#if QMAX_FAULT_ENABLED
 
 namespace detail {
 
@@ -138,13 +114,10 @@ struct SiteState {
   Schedule sched{};  // written only while disarmed
 };
 
-inline std::array<SiteState, kSiteCount>& sites() {
-  static std::array<SiteState, kSiteCount> s;
-  return s;
-}
+inline constinit std::array<SiteState, kSiteCount> sites{};
 
 [[nodiscard]] inline SiteState& site(Site s) noexcept {
-  return sites()[static_cast<unsigned>(s)];
+  return sites[static_cast<unsigned>(s)];
 }
 
 }  // namespace detail
@@ -208,33 +181,6 @@ inline void maybe_fail_alloc() {
   if (should_fire(Site::kAllocFail)) throw std::bad_alloc{};
 }
 
-/// Value-corruption injection point: returns a poisoned value (NaN for
-/// floating-point domains, the reserved lowest/empty value for integral
-/// ones) when due, the input unchanged otherwise.
-template <typename Value>
-[[nodiscard]] inline Value corrupt_value(Value v) noexcept {
-  if (!should_fire(Site::kValueCorrupt)) return v;
-  if constexpr (std::is_floating_point_v<Value>) {
-    return std::numeric_limits<Value>::quiet_NaN();
-  } else {
-    return std::numeric_limits<Value>::lowest();
-  }
-}
-
-/// Clock-skew injection point: pulls the timestamp backwards by the
-/// schedule's magnitude (saturating at 0) when due.
-[[nodiscard]] inline std::uint64_t skew_clock(std::uint64_t ts) noexcept {
-  auto& st = detail::site(Site::kClockSkew);
-  if (!should_fire(Site::kClockSkew)) return ts;
-  const std::uint64_t m = st.sched.magnitude;
-  return ts >= m ? ts - m : 0;
-}
-
-/// Ring-pop stall injection point: true means "pretend the ring is empty".
-[[nodiscard]] inline bool pop_stalled() noexcept {
-  return should_fire(Site::kRingPopStall);
-}
-
 /// Crash injection point: throws InjectedCrash when armed and due. Placed
 /// mid-maintenance and mid-persist so recovery is exercised at the worst
 /// moments — in-memory state half-mutated, snapshot half-written.
@@ -264,34 +210,5 @@ inline void maybe_crash() {
 [[nodiscard]] inline bool net_write_fails() noexcept {
   return should_fire(Site::kNetWrite);
 }
-
-#else  // QMAX_FAULT_ENABLED
-
-// Disabled: every hook is an inline no-op the optimizer deletes.
-
-inline void arm(Site, const Schedule&) noexcept {}
-inline void disarm(Site) noexcept {}
-inline void disarm_all() noexcept {}
-[[nodiscard]] inline std::uint64_t hits(Site) noexcept { return 0; }
-[[nodiscard]] inline std::uint64_t fires(Site) noexcept { return 0; }
-[[nodiscard]] inline bool should_fire(Site) noexcept { return false; }
-inline void maybe_fail_alloc() noexcept {}
-template <typename Value>
-[[nodiscard]] inline Value corrupt_value(Value v) noexcept {
-  return v;
-}
-[[nodiscard]] inline std::uint64_t skew_clock(std::uint64_t ts) noexcept {
-  return ts;
-}
-[[nodiscard]] inline bool pop_stalled() noexcept { return false; }
-inline void maybe_crash() noexcept {}
-[[nodiscard]] inline TornWrite torn_write() noexcept {
-  return TornWrite::kNone;
-}
-[[nodiscard]] inline bool net_connect_fails() noexcept { return false; }
-[[nodiscard]] inline bool net_read_fails() noexcept { return false; }
-[[nodiscard]] inline bool net_write_fails() noexcept { return false; }
-
-#endif  // QMAX_FAULT_ENABLED
 
 }  // namespace qmax::fault

@@ -7,8 +7,8 @@
 //   HELLO      agent → controller   opens a session: declares the agent's
 //                                   sample size k (must match the
 //                                   controller's) and protocol version.
-//   REPORT     agent → controller   one epoch's sample delta — the body of
-//                                   the nwhh_wire report encoding (count +
+//   REPORT     agent → controller   one epoch's sample delta — the
+//                                   nwhh_wire report body (count +
 //                                   24-byte records). Idempotent at the
 //                                   controller (dedup by packet id), so a
 //                                   reconnecting agent may replay freely.

@@ -52,6 +52,6 @@
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
 
-// Robustness: fault injection (gated) and argument validation.
+// Robustness: fault injection (armed only by tests) and argument validation.
 #include "common/fault.hpp"
 #include "common/validate.hpp"

@@ -326,8 +326,10 @@ class ConcurrentQMax {
 
   // ---- Durability (writers quiescent) ---------------------------------
 
-  /// Snapshot self-description: container tag over the core's tag (the
-  /// 0x06 prefix is the ConcurrentQMax container; 0x05 is ShardedQMax).
+  /// Snapshot self-description: container tag over the core's tag (0x05
+  /// is ShardedQMax). The 0x06 prefix is shared with LrfuQMaxCache, whose
+  /// tag is the bare 0x06000000; the values cannot meet because every
+  /// core tag carries a window tag of at least 1 in bits 8-15.
   [[nodiscard]] static constexpr std::uint32_t snapshot_tag() noexcept {
     return 0x06000000u | (Core::snapshot_tag() & 0x00FFFFFFu);
   }

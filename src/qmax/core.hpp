@@ -23,9 +23,9 @@
 //     Algorithm 2 (append + one partition_top pass per ⌈qγ⌉ admissions,
 //     amortized O(1/γ)).
 //
-// The core owns the admission gate (Ψ test + fault-injection site), the
-// processed/admitted accounting, the batched ingestion loop, the query
-// partition, and reset(). The maintenance policies own the slot array and
+// The core owns the admission gate (the Ψ test), the processed/admitted
+// accounting, the batched ingestion loop, the query partition, and
+// reset(). The maintenance policies own the slot array and
 // Ψ itself. ParityEngine — the Algorithm 1 skeleton — is additionally
 // shared with the deamortized LRFU cache
 // (src/cache/lrfu_qmax_deamortized.hpp), which runs the same
@@ -1000,7 +1000,6 @@ class ReservoirCore {
   bool add(Id id, Value val) {
     [[maybe_unused]] telemetry::Span trace_span(telemetry::Stage::kAdd);
     [[maybe_unused]] const std::uint64_t idx = processed_++;
-    val = fault::corrupt_value(val);
     if constexpr (!WindowPolicy::kIdentity) {
       if (!window_.transform(val, idx)) return false;
     }

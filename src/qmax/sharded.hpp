@@ -155,26 +155,13 @@ class ShardedQMax {
   /// Append the exact global top q (fewer if the combined stream is
   /// shorter) to `out`, unordered: gather every shard's live items
   /// straight behind `out`'s current size, run one partition pass over
-  /// the ≤ S·capacity candidates there, and truncate to q; the kept range
-  /// also refills the clean-query cache. Each shard's live set contains
-  /// that shard's top q, so the union contains the global top q.
-  ///
-  /// Clean-query skip: each shard's processed() is its dirty epoch —
-  /// every mutation (adds, folds, maintenance) happens inside an add, so
-  /// an unchanged count means the shard's live set is unchanged. When no
-  /// shard advanced since the last merge, the cached result is replayed
-  /// without re-gathering S·capacity candidates or re-running partition_top
-  /// (counted in merges_skipped_clean()). Dashboards and watchdogs that poll
-  /// query() between bursts pay O(q) copy instead of an O(S·capacity) merge.
+  /// the ≤ S·capacity candidates there, and truncate to q. Each shard's
+  /// live set contains that shard's top q, so the union contains the
+  /// global top q.
   void query_into(std::vector<EntryT>& out) const {
     [[maybe_unused]] telemetry::Span trace_span(
         telemetry::Stage::kMergeQuery);
     tm_.merge_queries.inc();
-    if (merge_clean()) {
-      ++merges_skipped_clean_;
-      out.insert(out.end(), merge_cache_.begin(), merge_cache_.end());
-      return;
-    }
     const std::size_t base = out.size();
     core::grow_for(out, live_count());
     for (const auto& sh : shards_) {
@@ -182,9 +169,6 @@ class ShardedQMax {
     }
     tm_.merge_gathered.record(out.size() - base);
     core::keep_top(out, base, q_, Order{.descending = true});
-    merge_cache_.assign(out.begin() + static_cast<std::ptrdiff_t>(base),
-                        out.end());
-    note_merge_epochs();
   }
 
   [[nodiscard]] std::vector<EntryT> query() const {
@@ -198,9 +182,6 @@ class ShardedQMax {
 
   /// Forget everything (writers quiescent); equivalent to freshly built.
   void reset() noexcept {
-    merge_epoch_valid_ = false;
-    merge_cache_.clear();
-    merges_skipped_clean_ = 0;
     for (auto& sh : shards_) {
       sh->core.reset();
       sh->self_psi = kEmptyValue<Value>;
@@ -278,11 +259,6 @@ class ShardedQMax {
   [[nodiscard]] std::uint64_t shard_broadcast_folds(std::size_t s) const {
     return shards_[s]->broadcast_folds;
   }
-  /// Queries answered from the cached merge because no shard advanced
-  /// (plain counter, available in every build).
-  [[nodiscard]] std::uint64_t merges_skipped_clean() const noexcept {
-    return merges_skipped_clean_;
-  }
   [[nodiscard]] const Telemetry& telem() const noexcept { return tm_; }
 
   /// Snapshot self-description: container tag over the shard core's tag.
@@ -311,12 +287,6 @@ class ShardedQMax {
       ar.u64(sh->broadcast_folds);
       ar.u64(sh->broadcast_publishes);
       ar.u64(sh->broadcast_tightened);
-    }
-    if constexpr (Archive::kLoading) {
-      // The merge cache is derived state; a restore replaces the shards
-      // underneath it, so the next query must re-merge.
-      merge_epoch_valid_ = false;
-      merge_cache_.clear();
     }
   }
 
@@ -361,32 +331,10 @@ class ShardedQMax {
     core::atomic_fetch_max(global_psi_, t);
   }
 
-  /// True when every shard's processed() matches the epochs noted at the
-  /// last merge — no add ran anywhere, so no shard's live set moved.
-  [[nodiscard]] bool merge_clean() const noexcept {
-    if (!merge_epoch_valid_) return false;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s]->core.processed() != merge_epochs_[s]) return false;
-    }
-    return true;
-  }
-
-  void note_merge_epochs() const {
-    merge_epochs_.resize(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      merge_epochs_[s] = shards_[s]->core.processed();
-    }
-    merge_epoch_valid_ = true;
-  }
-
   std::size_t q_;
   bool broadcast_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<Value> global_psi_{kEmptyValue<Value>};
-  mutable std::vector<EntryT> merge_cache_;  // last merged top-q (≤ q items)
-  mutable std::vector<std::uint64_t> merge_epochs_;  // processed() per shard
-  mutable bool merge_epoch_valid_ = false;
-  mutable std::uint64_t merges_skipped_clean_ = 0;
   [[no_unique_address]] mutable Telemetry tm_;
 };
 

@@ -38,7 +38,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/fault.hpp"
 #include "common/validate.hpp"
 #include "qmax/batch.hpp"
 #include "qmax/concepts.hpp"

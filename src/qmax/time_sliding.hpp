@@ -21,7 +21,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/fault.hpp"
 #include "common/validate.hpp"
 #include "qmax/batch.hpp"
 #include "qmax/concepts.hpp"
@@ -56,7 +55,6 @@ class TimeSlackQMax {
 
   /// Report an item observed at `timestamp` (non-decreasing).
   bool add(Id id, Value val, std::uint64_t timestamp) {
-    timestamp = fault::skew_clock(timestamp);
     if (timestamp < now_) {
       throw std::invalid_argument("TimeSlackQMax: timestamps must not go back");
     }

@@ -99,7 +99,7 @@ void bind_metrics_into(Registry& reg, const std::string& prefix, const T& obj,
     counter("late_selections", [&obj] { return obj.late_selections(); });
   }
   // Plain counters the algorithms keep anyway (SampledQMax's pivot
-  // outcomes, ConcurrentQMax's Ψ publishing, ShardedQMax's merge cache).
+  // outcomes, ConcurrentQMax's Ψ publishing).
   if constexpr (requires { { obj.sampled_passes() } -> std::convertible_to<std::uint64_t>; }) {
     counter("sampled_passes", [&obj] { return obj.sampled_passes(); });
     counter("exact_fallbacks", [&obj] { return obj.exact_fallbacks(); });
@@ -107,10 +107,6 @@ void bind_metrics_into(Registry& reg, const std::string& prefix, const T& obj,
   if constexpr (requires { { obj.psi_publishes() } -> std::convertible_to<std::uint64_t>; }) {
     counter("psi_publishes", [&obj] { return obj.psi_publishes(); });
     counter("psi_cas_retries", [&obj] { return obj.psi_cas_retries(); });
-  }
-  if constexpr (requires { { obj.merges_skipped_clean() } -> std::convertible_to<std::uint64_t>; }) {
-    counter("merges_skipped_clean",
-            [&obj] { return obj.merges_skipped_clean(); });
   }
 
   // Cache statistics (LRFU variants).

@@ -76,7 +76,6 @@ class SpscRing {
 
   /// Consumer side. Returns false when empty.
   bool try_pop(T& out) noexcept {
-    if (fault::pop_stalled()) return false;  // injected consumer stall
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail == head_cache_) {
       head_cache_ = head_.load(std::memory_order_acquire);
@@ -89,7 +88,6 @@ class SpscRing {
 
   /// Consumer side: pop up to `max` items into `out`; returns count.
   std::size_t pop_batch(T* out, std::size_t max) noexcept {
-    if (fault::pop_stalled()) return 0;  // injected consumer stall
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     std::uint64_t head = head_cache_;
     if (tail == head) {

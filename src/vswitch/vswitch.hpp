@@ -113,7 +113,6 @@ struct alignas(64) RxIndexList {
 };
 
 struct SwitchConfig {
-  double linerate_gbps = 10.0;
   std::size_t ring_capacity = 1 << 16;
   /// Full-ring policy; see OverloadPolicy. kBackpressure matches the
   /// paper's observed behaviour and stays the default.

@@ -4,10 +4,8 @@
 // between temp-write and rename, or a torn snapshot write), restores the
 // latest durable epoch into a fresh object, replays the stream tail, and
 // asserts the final query() answer is the exact value multiset an
-// uninterrupted golden run produces.
-//
-// Compiled into every build; the cells GTEST_SKIP unless the binary was
-// built with -DQMAX_FAULT_INJECTION=ON (the CI crash-recovery job is).
+// uninterrupted golden run produces. The faults come from the
+// kCrashPoint and kSnapshotTornWrite sites, which only these tests arm.
 #include "durability/store.hpp"
 
 #include <gtest/gtest.h>
@@ -229,40 +227,34 @@ void reservoir_grid(const std::string& variant, MakePtr make,
 }
 
 TEST(CrashRecovery, QMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   reservoir_grid("qmax", [] { return std::make_unique<QMax<>>(64, 0.25); },
                  12);
 }
 
 TEST(CrashRecovery, QMaxTinyGamma) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   reservoir_grid("qmax_tiny_gamma",
                  [] { return std::make_unique<QMax<>>(64, 0.05); }, 20);
 }
 
 TEST(CrashRecovery, AmortizedQMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   reservoir_grid("amortized",
                  [] { return std::make_unique<AmortizedQMax<>>(64, 0.25); },
                  6);
 }
 
 TEST(CrashRecovery, SampledQMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   reservoir_grid("sampled",
                  [] { return std::make_unique<SampledQMax<>>(256, 0.5, 64); },
                  3);
 }
 
 TEST(CrashRecovery, ExpDecayQMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   reservoir_grid(
       "exp_decay",
       [] { return std::make_unique<ExpDecayQMax<>>(64, 0.999, 0.25); }, 8);
 }
 
 TEST(CrashRecovery, SlackQMaxLazy) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   using SW = SlackQMax<QMax<>>;
   for (const Kill kill : kAllKills) {
     run_kill_restore_replay(
@@ -280,7 +272,6 @@ TEST(CrashRecovery, SlackQMaxLazy) {
 }
 
 TEST(CrashRecovery, TimeSlackQMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   using TW = TimeSlackQMax<QMax<>>;
   for (const Kill kill : kAllKills) {
     run_kill_restore_replay(
@@ -297,7 +288,6 @@ TEST(CrashRecovery, TimeSlackQMax) {
 }
 
 TEST(CrashRecovery, ShardedQMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   using SH = ShardedQMax<>;
   static constexpr std::size_t kShards = 4;
   for (const Kill kill : kAllKills) {
@@ -316,7 +306,6 @@ TEST(CrashRecovery, ShardedQMax) {
 }
 
 TEST(CrashRecovery, ConcurrentQMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   using CQ = ConcurrentQMax<>;
   // Tiny buffers so checkpoints land with staged items in flight; the
   // quiesced snapshot drains them, and processed() (base counters folded
@@ -336,7 +325,6 @@ TEST(CrashRecovery, ConcurrentQMax) {
 }
 
 TEST(CrashRecovery, LrfuQMaxCache) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   using C = LrfuQMaxCache<>;
   for (const Kill kill : kAllKills) {
     run_kill_restore_replay(
@@ -354,7 +342,6 @@ TEST(CrashRecovery, LrfuQMaxCache) {
 }
 
 TEST(CrashRecovery, LrfuQMaxCacheDeamortized) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
   using C = LrfuQMaxCacheDeamortized<>;
   for (const Kill kill : kAllKills) {
     run_kill_restore_replay(

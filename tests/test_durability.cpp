@@ -328,6 +328,29 @@ TEST(SnapshotImage, RejectsVariantTagMismatch) {
   EXPECT_THROW(durability::restore(other, image), durability::SnapshotError);
 }
 
+// The variant tag is the only thing that stops an image restoring into
+// another type, so no two snapshot-capable types may share one.
+TEST(SnapshotImage, EveryVariantTagIsDistinct) {
+  const std::vector<std::pair<const char*, std::uint32_t>> tags = {
+      {"QMax", QMax<>::snapshot_tag()},
+      {"AmortizedQMax", AmortizedQMax<>::snapshot_tag()},
+      {"SampledQMax", SampledQMax<>::snapshot_tag()},
+      {"ExpDecayQMax", ExpDecayQMax<>::snapshot_tag()},
+      {"SlackQMax<QMax>", SlackQMax<QMax<>>::snapshot_tag()},
+      {"TimeSlackQMax<QMax>", TimeSlackQMax<QMax<>>::snapshot_tag()},
+      {"ShardedQMax<QMax>", ShardedQMax<QMax<>>::snapshot_tag()},
+      {"ConcurrentQMax<QMax>", ConcurrentQMax<QMax<>>::snapshot_tag()},
+      {"LrfuQMaxCache", LrfuQMaxCache<>::snapshot_tag()},
+      {"LrfuQMaxCacheDeamortized", LrfuQMaxCacheDeamortized<>::snapshot_tag()},
+  };
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    for (std::size_t j = i + 1; j < tags.size(); ++j) {
+      EXPECT_NE(tags[i].second, tags[j].second)
+          << tags[i].first << " and " << tags[j].first << " share a tag";
+    }
+  }
+}
+
 TEST(SnapshotImage, RejectsConfigMismatch) {
   QMax<> writer(64, 0.25);
   drive_reservoir(writer, 0, 1'000);

@@ -250,9 +250,9 @@ TEST(NetProtocol, TypedBodiesRoundTripAndRejectMalformed) {
 }
 
 TEST(NetProtocol, ReportPayloadMatchesWireBodyDifferentially) {
-  // The framed REPORT payload must be byte-identical to the body section
-  // of the standalone nwhh_wire encoding (magic and version stripped) —
-  // that equivalence is what lets the controller share one decoder.
+  // The framed REPORT payload must be byte-identical to the nwhh_wire
+  // report body — that equivalence is what lets the controller share one
+  // decoder.
   Xoshiro256 rng(7);
   std::vector<NwhhEntry> report;
   for (int i = 0; i < 300; ++i) {
@@ -260,10 +260,9 @@ TEST(NetProtocol, ReportPayloadMatchesWireBodyDifferentially) {
         NwhhEntry{PacketSample{rng(), rng.bounded(1'000)}, -rng.uniform()});
   }
   const auto payload = net::encode_report_payload(report);
-  const auto standalone = qmax::apps::encode_report(report);
-  ASSERT_EQ(standalone.size(), payload.size() + 8);
-  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
-                         standalone.begin() + 8));
+  std::vector<std::uint8_t> body;
+  qmax::apps::encode_report_body(report, body);
+  EXPECT_EQ(payload, body);
 
   const auto decoded = net::decode_report_payload(payload);
   ASSERT_EQ(decoded.size(), report.size());

@@ -1,11 +1,19 @@
-// NWHH report wire format: round trips, corruption handling, and
-// controller-level equivalence of local vs serialized collection.
+// NWHH report wire body: round trips through the framed REPORT payload,
+// corruption handling, and controller-level equivalence of local vs
+// serialized collection.
 #include "apps/nwhh_wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "baselines/heap_qmax.hpp"
+#include "common/codec.hpp"
 #include "common/random.hpp"
+#include "net/protocol.hpp"
 #include "qmax/qmax.hpp"
 
 namespace {
@@ -13,6 +21,9 @@ namespace {
 using namespace qmax::apps;
 using qmax::QMax;
 using qmax::common::Xoshiro256;
+using qmax::net::decode_report_payload;
+using qmax::net::encode_report_payload;
+using Cursor = qmax::common::codec::Cursor<std::uint8_t>;
 
 using R = QMax<PacketSample, double>;
 using HeapR = qmax::baselines::HeapQMax<PacketSample, double>;
@@ -27,11 +38,19 @@ std::vector<NwhhEntry> sample_report(std::size_t n, std::uint64_t seed) {
   return report;
 }
 
+/// Serialized collection: the controller ingests a report that crossed
+/// the wire as a REPORT payload.
+void collect_serialized(NwhhController& controller,
+                        std::span<const NwhhEntry> report) {
+  controller.collect_entries(
+      decode_report_payload(encode_report_payload(report)));
+}
+
 TEST(NwhhWire, RoundTrip) {
   const auto report = sample_report(257, 1);
-  const auto bytes = encode_report(report);
-  EXPECT_EQ(bytes.size(), 16u + 257u * 24u);
-  const auto decoded = decode_report(bytes);
+  const auto bytes = encode_report_payload(report);
+  EXPECT_EQ(bytes.size(), 8u + 257u * 24u);
+  const auto decoded = decode_report_payload(bytes);
   ASSERT_EQ(decoded.size(), report.size());
   for (std::size_t i = 0; i < report.size(); ++i) {
     EXPECT_EQ(decoded[i].id.packet_id, report[i].id.packet_id);
@@ -41,31 +60,26 @@ TEST(NwhhWire, RoundTrip) {
 }
 
 TEST(NwhhWire, EmptyReport) {
-  const auto bytes = encode_report({});
-  EXPECT_EQ(decode_report(bytes).size(), 0u);
+  const auto bytes = encode_report_payload({});
+  EXPECT_EQ(decode_report_payload(bytes).size(), 0u);
 }
 
 TEST(NwhhWire, RejectsCorruption) {
-  auto bytes = encode_report(sample_report(10, 2));
+  std::vector<std::uint8_t> bytes;
+  encode_report_body(sample_report(10, 2), bytes);
   // Truncation.
   auto cut = bytes;
   cut.resize(cut.size() - 5);
-  EXPECT_THROW(decode_report(cut), std::runtime_error);
+  Cursor cut_cur(cut);
+  EXPECT_THROW((void)decode_report_body(cut_cur), std::runtime_error);
   // Trailing garbage.
   auto padded = bytes;
   padded.push_back(0);
-  EXPECT_THROW(decode_report(padded), std::runtime_error);
-  // Bad magic.
-  auto evil = bytes;
-  evil[0] ^= 0xFF;
-  EXPECT_THROW(decode_report(evil), std::runtime_error);
-  // Bad version.
-  auto vers = bytes;
-  vers[4] = 0x7F;
-  EXPECT_THROW(decode_report(vers), std::runtime_error);
-  // Too short for a header at all.
-  EXPECT_THROW(decode_report(std::span<const std::uint8_t>(bytes.data(), 7)),
-               std::runtime_error);
+  Cursor padded_cur(padded);
+  EXPECT_THROW((void)decode_report_body(padded_cur), std::runtime_error);
+  // Too short for the record count at all.
+  Cursor short_cur(std::span<const std::uint8_t>(bytes.data(), 7));
+  EXPECT_THROW((void)decode_report_body(short_cur), std::runtime_error);
 }
 
 TEST(NwhhWire, HostileRecordCountCannotWrapTheSizeCheck) {
@@ -77,49 +91,41 @@ TEST(NwhhWire, HostileRecordCountCannotWrapTheSizeCheck) {
   // against the remaining bytes BEFORE any allocation, with arithmetic
   // that cannot wrap.
   std::vector<std::uint8_t> evil;
-  auto put32 = [&evil](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      evil.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
   auto put64 = [&evil](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       evil.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   };
-  put32(kReportMagic);
-  put32(kReportVersion);
   put64((std::uint64_t{1} << 63) + 1);   // count * 24 wraps to 24
   for (int i = 0; i < 24; ++i) evil.push_back(0);  // one "record"
-  EXPECT_THROW(decode_report(evil), std::runtime_error);
+  Cursor wrapping(evil);
+  EXPECT_THROW((void)decode_report_body(wrapping), std::runtime_error);
 
   // Off-by-one flavor: count claims one more record than is present.
-  std::vector<std::uint8_t> short_by_one;
-  evil.swap(short_by_one);
-  put32(kReportMagic);
-  put32(kReportVersion);
+  evil.clear();
   put64(2);
   for (int i = 0; i < 24; ++i) evil.push_back(7);
-  EXPECT_THROW(decode_report(evil), std::runtime_error);
+  Cursor short_by_one(evil);
+  EXPECT_THROW((void)decode_report_body(short_by_one), std::runtime_error);
 }
 
 TEST(NwhhWire, BodyCodecRejectsTrailingBytes) {
-  // The framed REPORT payload path decodes bodies directly; it must
-  // apply the same trailing-garbage discipline as the standalone format.
+  // The framed REPORT payload path decodes bodies directly, so the body
+  // decoder itself rejects trailing garbage.
   const auto report = sample_report(5, 9);
   std::vector<std::uint8_t> body;
   encode_report_body(report, body);
 
-  qmax::common::codec::Cursor<std::uint8_t> ok(body);
+  Cursor ok(body);
   EXPECT_EQ(decode_report_body(ok).size(), 5u);
 
   body.push_back(0xAA);
-  qmax::common::codec::Cursor<std::uint8_t> padded(body);
+  Cursor padded(body);
   EXPECT_THROW(decode_report_body(padded), std::runtime_error);
 
   // ... unless the caller explicitly opts out (embedded contexts where
   // the cursor continues into unrelated data).
-  qmax::common::codec::Cursor<std::uint8_t> lax(body);
+  Cursor lax(body);
   EXPECT_EQ(decode_report_body(lax, /*expect_end=*/false).size(), 5u);
   EXPECT_EQ(lax.remaining(), 1u);
 }
@@ -142,8 +148,8 @@ TEST(NwhhWire, SerializedCollectionMatchesLocal) {
   std::vector<NwhhEntry> r1, r2;
   nmp1.report_into(r1);
   nmp2.report_into(r2);
-  collect_serialized(remote, encode_report(r1));
-  collect_serialized(remote, encode_report(r2));
+  collect_serialized(remote, r1);
+  collect_serialized(remote, r2);
 
   ASSERT_EQ(local.sample().size(), remote.sample().size());
   for (std::size_t i = 0; i < local.sample().size(); ++i) {
@@ -173,8 +179,8 @@ TEST(NwhhWire, HeapBackedReportsInteroperate) {
   fast.report_into(rf);
   slow.report_into(rs);
   NwhhController ctl(k);
-  collect_serialized(ctl, encode_report(rf));
-  collect_serialized(ctl, encode_report(rs));
+  collect_serialized(ctl, rf);
+  collect_serialized(ctl, rs);
   EXPECT_NEAR(ctl.total_packets(), 10'000.0, 10'000.0 * 0.3);
 }
 

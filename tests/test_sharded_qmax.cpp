@@ -251,28 +251,10 @@ TEST(ShardedQMax, ResetEqualsFresh) {
 }
 
 // ---------------------------------------------------------------------
-// Merge cache: clean queries replay the cached top q.
+// Repeated queries: each one merges the shards' current live sets.
 // ---------------------------------------------------------------------
 
-TEST(ShardedQMax, CleanQuerySkipsRemerge) {
-  ShardedQMax<QMax<>> sh(4, 64, {}, true);
-  const auto vals = adversarial_doubles(20'000, 42);
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    sh.add(dispatch(i, 4), i, vals[i]);
-  }
-  const auto first = sh.query();
-  EXPECT_EQ(sh.merges_skipped_clean(), 0u);
-  // No shard advanced: the second query must replay the cache, and the
-  // replay must be the identical answer.
-  const auto second = sh.query();
-  EXPECT_EQ(sh.merges_skipped_clean(), 1u);
-  expect_same_values(second, first, "cached replay");
-  const auto third = sh.query();
-  EXPECT_EQ(sh.merges_skipped_clean(), 2u);
-  expect_same_values(third, first, "cached replay again");
-}
-
-TEST(ShardedQMax, DirtyShardInvalidatesMergeCache) {
+TEST(ShardedQMax, RepeatedQueriesAgreeAndFollowNewAdds) {
   ShardedQMax<QMax<>> sh(4, 32, {}, true);
   seedref::QMax<> ref(32, 0.25);
   const auto vals = adversarial_doubles(10'000, 77);
@@ -280,21 +262,13 @@ TEST(ShardedQMax, DirtyShardInvalidatesMergeCache) {
     sh.add(dispatch(i, 4), i, vals[i]);
     ref.add(i, vals[i]);
   }
-  (void)sh.query();
-  (void)sh.query();
-  EXPECT_EQ(sh.merges_skipped_clean(), 1u);
-  // ANY add dirties its shard's epoch — even one the screen rejects
-  // outright never reuses a stale cache silently... but a screened add
-  // still bumps processed(), so the re-merge is computed, and computed
-  // correctly.
+  const auto first = sh.query();
+  expect_same_values(first, ref.query(), "first query");
+  expect_same_values(sh.query(), first, "repeated query");
+  expect_same_values(sh.query(), first, "repeated query again");
   sh.add(0, 999'999, 1e18);
   ref.add(999'999, 1e18);
-  expect_same_values(sh.query(), ref.query(), "post-dirty re-merge");
-  EXPECT_EQ(sh.merges_skipped_clean(), 1u) << "dirty query must re-merge";
-  (void)sh.query();
-  EXPECT_EQ(sh.merges_skipped_clean(), 2u);
-  sh.reset();
-  EXPECT_EQ(sh.merges_skipped_clean(), 0u);
+  expect_same_values(sh.query(), ref.query(), "query after more adds");
 }
 
 // ---------------------------------------------------------------------

@@ -556,10 +556,8 @@ TEST(Bind, PlainCountsExportInEveryBuild) {
   }
   EXPECT_EQ(concurrent.query().size(), 64u);
   EXPECT_EQ(sharded.query().size(), 64u);
-  EXPECT_EQ(sharded.query().size(), 64u);  // clean: served from the cache
   EXPECT_GT(sampled.sampled_passes(), 0u);
   EXPECT_GT(concurrent.psi_publishes(), 0u);
-  EXPECT_EQ(sharded.merges_skipped_clean(), 1u);
 
   tel::Registry reg;
   std::vector<tel::Registration> regs;
@@ -576,8 +574,6 @@ TEST(Bind, PlainCountsExportInEveryBuild) {
             concurrent.psi_publishes());
   EXPECT_EQ(by_name.at("concurrent.psi_cas_retries").counter,
             concurrent.psi_cas_retries());
-  EXPECT_EQ(by_name.at("sharded.merges_skipped_clean").counter,
-            sharded.merges_skipped_clean());
   for (const auto& [name, sample] : by_name) {
     EXPECT_EQ(name.find('#'), std::string::npos) << name << " bound twice";
   }
