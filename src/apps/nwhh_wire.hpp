@@ -42,13 +42,13 @@ inline void encode_report_body(std::span<const NwhhEntry> report,
   }
 }
 
-/// Parse a report body from a cursor. Throws std::runtime_error on a
-/// count that cannot fit the remaining bytes (checked *before* any
-/// allocation: a hostile 2^63-scale count must not reach reserve), on
-/// truncation, and — when `expect_end` — on trailing garbage after the
+/// Parse a report body from a cursor that must end with it. Throws
+/// std::runtime_error on a count that cannot fit the remaining bytes
+/// (checked *before* any allocation: a hostile 2^63-scale count must not
+/// reach reserve), on truncation, and on trailing bytes after the
 /// declared records.
 [[nodiscard]] inline std::vector<NwhhEntry> decode_report_body(
-    common::codec::Cursor<std::uint8_t>& cur, bool expect_end = true) {
+    common::codec::Cursor<std::uint8_t>& cur) {
   std::uint64_t count = 0;
   if (!cur.take_le(count)) {
     throw std::runtime_error("nwhh report: truncated");
@@ -69,7 +69,7 @@ inline void encode_report_body(std::span<const NwhhEntry> report,
     }
     report.push_back(e);
   }
-  if (expect_end && !cur.at_end()) {
+  if (!cur.at_end()) {
     throw std::runtime_error("nwhh report: trailing bytes after records");
   }
   return report;

@@ -141,11 +141,6 @@ inline void disarm_all() {
   for (unsigned i = 0; i < kSiteCount; ++i) disarm(static_cast<Site>(i));
 }
 
-/// Hits observed at this site since it was armed.
-[[nodiscard]] inline std::uint64_t hits(Site s) noexcept {
-  return detail::site(s).hits.load(std::memory_order_relaxed);
-}
-
 /// Faults actually injected at this site since it was armed.
 [[nodiscard]] inline std::uint64_t fires(Site s) noexcept {
   return detail::site(s).fires.load(std::memory_order_relaxed);

@@ -6,12 +6,14 @@
 // This is the one way to run the switch, for any N ≥ 1 PMDs. N PMD
 // threads each own a flow table (OVS keeps a per-PMD EMC *and* a per-PMD
 // dpcls) and an SPSC monitor ring. Packets are dispatched to PMDs by RSS
-// (flow-key hash), preserving per-flow ordering: PMD i hashes its
-// contiguous 1/N slice of the call's packets into per-queue index lists,
-// the PMDs meet at a barrier, and PMD j then forwards queue j by index,
-// slice 0 first, so every flow keeps span order and no packet is copied.
-// With N = 1 (the single-PMD switch of Figures 12-17) every packet maps
-// to queue 0, so the one PMD forwards the span in order without hashing.
+// (flow-key hash), preserving per-flow ordering: the call's packets are
+// hashed in chunks of kRssChunk into per-queue index lists, by the
+// calling thread and by any PMD whose next chunk is not ready yet, and
+// PMD j forwards queue j of each chunk by index as soon as that chunk is
+// published, chunk 0 first, so every flow keeps span order, no packet is
+// copied and no PMD waits for the whole span to be hashed. With N = 1
+// (the single-PMD switch of Figures 12-17) every packet maps to queue 0,
+// so the one PMD forwards the span in order without hashing.
 // M measurement threads — the user-space program — drain the rings,
 // consumer j taking rings i ≡ j (mod M); each ring stays
 // single-producer / single-consumer.
@@ -22,8 +24,8 @@
 // consumer, the regime the paper's q = 10^7 cliffs live in.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -66,8 +68,8 @@ struct MonitorTelemetry {
 struct MultiRunResult {
   std::vector<RunResult> per_pmd;
   std::uint64_t packets = 0;
-  /// Wall-clock of the whole parallel section: RSS hashing plus
-  /// forwarding, until the last PMD finishes.
+  /// Wall-clock of the whole parallel section: thread start, RSS hashing
+  /// and forwarding, until the last PMD finishes.
   double seconds = 0.0;
 
   [[nodiscard]] double aggregate_mpps() const noexcept {
@@ -157,13 +159,16 @@ struct MultiRunResult {
 
 class MultiPmdSwitch {
  public:
+  /// Packets per RSS chunk: the unit a multi-PMD call is hashed in, and
+  /// the most packets a PMD waits for before it can start forwarding.
+  static constexpr std::size_t kRssChunk = 8192;
+
   explicit MultiPmdSwitch(MultiPmdConfig cfg = {}) : cfg_(cfg) {
     if (cfg_.pmd_threads == 0) cfg_.pmd_threads = 1;
     pmds_.reserve(cfg_.pmd_threads);
     for (std::size_t i = 0; i < cfg_.pmd_threads; ++i) {
       pmds_.push_back(std::make_unique<VirtualSwitch>(cfg_.per_pmd));
     }
-    lists_.resize(cfg_.pmd_threads * cfg_.pmd_threads);
   }
 
   /// Install the same forwarding policy on every PMD's table.
@@ -253,10 +258,15 @@ class MultiPmdSwitch {
  private:
   /// Runs the PMD threads over `packets` and `alongside()` on the calling
   /// thread meanwhile; returns once every PMD has finished, with
-  /// res.seconds set. PMD i hashes slice i into lists_[q * n + i] for
-  /// each queue q, waits for the others, then forwards queue i — into
-  /// rings_[i] when `done` is set, raising done[i] afterwards. A lone PMD
-  /// skips the hashing and forwards the whole span in order.
+  /// res.seconds set. With n > 1 PMDs the span is hashed in chunks of
+  /// kRssChunk packets, claimed in order: whoever claims chunk c fills
+  /// lists_[c * n + q] for each queue q and then publishes the chunk. The
+  /// calling thread claims chunks once `alongside()` returns, and a PMD
+  /// whose next chunk is unpublished claims the next unclaimed one; once
+  /// every chunk is claimed it yields until its chunk is published. PMD i
+  /// forwards queue i of chunk 0, 1, ... — into rings_[i] when `done` is
+  /// set, raising done[i] afterwards. A lone PMD skips the hashing and
+  /// forwards the whole span in order.
   template <typename Alongside>
   void run_pmds(std::span<const trace::PacketRecord> packets,
                 std::atomic<bool>* done, MultiRunResult& res,
@@ -268,23 +278,39 @@ class MultiPmdSwitch {
     const std::size_t n = pmds_.size();
     res.per_pmd.resize(n);
     res.packets = packets.size();
-    std::barrier<> hashed(static_cast<std::ptrdiff_t>(n));
+    const std::size_t chunks =
+        n > 1 ? (packets.size() + kRssChunk - 1) / kRssChunk : 0;
+    if (lists_.size() < chunks * n) lists_.resize(chunks * n);
+    std::atomic<std::size_t> claimed{0};
+    std::vector<std::atomic<bool>> published(chunks);
+    // Hashes the next unclaimed chunk; false once every chunk is claimed.
+    auto hash_next = [&] {
+      if (claimed.load(std::memory_order_relaxed) >= chunks) return false;
+      const std::size_t c = claimed.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return false;
+      RxIndexList* queue = lists_.data() + c * n;
+      for (std::size_t q = 0; q < n; ++q) queue[q].idx.clear();
+      const std::size_t end = std::min(packets.size(), (c + 1) * kRssChunk);
+      for (std::size_t k = c * kRssChunk; k < end; ++k) {
+        queue[rss(packets[k])].idx.push_back(static_cast<std::uint32_t>(k));
+      }
+      published[c].store(true, std::memory_order_release);
+      return true;
+    };
     common::Stopwatch wall;
     std::vector<std::thread> pmd_threads;
     pmd_threads.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       pmd_threads.emplace_back([&, i] {
-        std::span<const RxIndexList> queue;  // empty: the whole span
+        RxSource queue;  // empty: the whole span
         if (n > 1) {
-          const std::size_t begin = packets.size() * i / n;
-          const std::size_t end = packets.size() * (i + 1) / n;
-          for (std::size_t q = 0; q < n; ++q) lists_[q * n + i].idx.clear();
-          for (std::size_t k = begin; k < end; ++k) {
-            lists_[rss(packets[k]) * n + i].idx.push_back(
-                static_cast<std::uint32_t>(k));
-          }
-          hashed.arrive_and_wait();
-          queue = std::span<const RxIndexList>(lists_).subspan(i * n, n);
+          queue = [&, i, c = std::size_t{0}]() mutable -> const RxIndexList* {
+            if (c == chunks) return nullptr;
+            while (!published[c].load(std::memory_order_acquire)) {
+              if (!hash_next()) std::this_thread::yield();
+            }
+            return &lists_[c++ * n + i];
+          };
         }
         pmds_[i]->run_datapath(packets, queue,
                                done != nullptr ? rings_[i].get() : nullptr,
@@ -293,6 +319,8 @@ class MultiPmdSwitch {
       });
     }
     alongside();
+    while (hash_next()) {
+    }
     for (auto& t : pmd_threads) t.join();
     res.seconds = wall.seconds();
   }
@@ -317,12 +345,6 @@ class MultiPmdSwitch {
     }
     MultiRunResult res;
     std::vector<std::atomic<bool>> done(n);
-    // Consumer-side per-ring gauges: ring i has the one consumer i mod m,
-    // so each entry keeps a single writer; published into res.per_pmd
-    // after the joins (which order the writes).
-    std::vector<std::uint64_t> occ_max(n, 0);
-    std::vector<std::uint64_t> drain_batches(n, 0);
-    std::vector<std::uint64_t> drained(n, 0);
 
     std::vector<std::thread> consumers;
     consumers.reserve(m);
@@ -331,10 +353,18 @@ class MultiPmdSwitch {
         consumers.emplace_back([&, j] {
           MonitorRecord batch[64];
           MonitorTelemetry& tm = *consumer_tm_[j];
+          // Gauges of this consumer's rings i = j + s·m, indexed by s and
+          // counted here, not in memory another consumer writes.
+          struct RingGauges {
+            std::uint64_t occ_max = 0;
+            std::uint64_t drain_batches = 0;
+            std::uint64_t drained = 0;
+          };
+          std::vector<RingGauges> gauges((n - j + m - 1) / m);
           for (;;) {
             bool any = false;
             bool finished = true;
-            for (std::size_t i = j; i < n; i += m) {
+            for (std::size_t i = j, s = 0; i < n; i += m, ++s) {
               SpscRing<MonitorRecord>& ring = *rings_[i];
               const std::size_t occ = ring.size_approx();
               const std::size_t got = ring.pop_batch(batch, 64);
@@ -357,9 +387,10 @@ class MultiPmdSwitch {
                   for (std::size_t k = 0; k < got; ++k) consume(i, batch[k]);
                 }
               }
-              ++drain_batches[i];
-              drained[i] += got;
-              if (occ > occ_max[i]) occ_max[i] = occ;
+              RingGauges& g = gauges[s];
+              ++g.drain_batches;
+              g.drained += got;
+              if (occ > g.occ_max) g.occ_max = occ;
               tm.drain_batch.record(got);
               tm.ring_occupancy.record(occ);
               any = true;
@@ -369,22 +400,24 @@ class MultiPmdSwitch {
             if (finished) break;
             std::this_thread::yield();
           }
+          // Every done[i] was read true, so PMD i has stored its result.
+          for (std::size_t i = j, s = 0; i < n; i += m, ++s) {
+            RunResult& r = res.per_pmd[i];
+            r.ring_capacity = rings_[i]->capacity();
+            r.ring_occupancy_max = gauges[s].occ_max;
+            r.drain_batches = gauges[s].drain_batches;
+            r.records_drained = gauges[s].drained;
+          }
         });
       }
     });
     for (auto& t : consumers) t.join();
-    for (std::size_t i = 0; i < n; ++i) {
-      res.per_pmd[i].ring_capacity = rings_[i]->capacity();
-      res.per_pmd[i].ring_occupancy_max = occ_max[i];
-      res.per_pmd[i].drain_batches = drain_batches[i];
-      res.per_pmd[i].records_drained = drained[i];
-    }
     return res;
   }
 
   MultiPmdConfig cfg_;
   std::vector<std::unique_ptr<VirtualSwitch>> pmds_;
-  std::vector<RxIndexList> lists_;  // n × n, queue-major
+  std::vector<RxIndexList> lists_;  // chunk-major: [c * n + queue]
   std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings_;
   std::vector<std::unique_ptr<MonitorTelemetry>> consumer_tm_;
 };

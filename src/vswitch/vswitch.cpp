@@ -63,7 +63,7 @@ void VirtualSwitch::forward_bursts(std::size_t n, At&& at,
 }
 
 void VirtualSwitch::run_datapath(std::span<const trace::PacketRecord> packets,
-                                 std::span<const RxIndexList> queue,
+                                 const RxSource& queue,
                                  SpscRing<MonitorRecord>* ring,
                                  RunResult& res) {
   common::Stopwatch sw;
@@ -79,18 +79,19 @@ void VirtualSwitch::run_datapath(std::span<const trace::PacketRecord> packets,
     g.watermark_slots = static_cast<std::size_t>(
         frac * static_cast<double>(ring->capacity()));
   }
-  if (queue.empty()) {
+  if (!queue) {
     forward_bursts(
         packets.size(),
         [&](std::size_t k) -> const auto& { return packets[k]; }, ring, g,
         local);
-  }
-  for (const RxIndexList& list : queue) {
-    const std::uint32_t* idx = list.idx.data();
-    forward_bursts(
-        list.idx.size(),
-        [&](std::size_t k) -> const auto& { return packets[idx[k]]; }, ring, g,
-        local);
+  } else {
+    while (const RxIndexList* list = queue()) {
+      const std::uint32_t* idx = list->idx.data();
+      forward_bursts(
+          list->idx.size(),
+          [&](std::size_t k) -> const auto& { return packets[idx[k]]; }, ring,
+          g, local);
+    }
   }
   local.seconds = sw.seconds();
   res = local;

@@ -104,13 +104,18 @@ enum class DegradeState : std::uint8_t {
   return "ladder:deescalate_to_?";
 }
 
-/// Packets one RSS queue receives from one hashing slice of a multi-PMD
+/// Packets one RSS queue receives from one chunk of a multi-PMD
 /// forward_* call: indices into that call's packet span, in span order.
-/// Each list sits on its own cache line, so the PMDs filling neighbouring
-/// lists never write to a shared line.
+/// Each list sits on its own cache line, so the threads filling and
+/// reading neighbouring lists never write to a shared line.
 struct alignas(64) RxIndexList {
   std::vector<std::uint32_t> idx;
 };
+
+/// A PMD's rx queue, one index list at a time: each call returns the
+/// next list to forward, waiting until it is ready, or null once the
+/// queue is exhausted.
+using RxSource = std::function<const RxIndexList*()>;
 
 struct SwitchConfig {
   std::size_t ring_capacity = 1 << 16;
@@ -148,6 +153,8 @@ struct SwitchConfig {
 struct RunResult {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
+  /// Wall time of the PMD's whole run_datapath loop: forwarding, plus any
+  /// RSS chunks it hashed and any waits for a chunk or a ring slot.
   double seconds = 0.0;
   /// Records not handed to the monitor, for any reason: kDrop-mode drops
   /// plus every kGraceful shed/watchdog drop (the three counters below).
@@ -225,16 +232,17 @@ class VirtualSwitch {
   /// measurement interval.
   void install_default_rules(std::uint32_t buckets = 256);
 
-  /// The PMD poll loop: forward the packets `queue` indexes, list by list,
-  /// or all of `packets` in order when `queue` is empty, one rx burst at a
-  /// time, publishing each burst's records into `ring` under the
-  /// configured policy (null: unmonitored). One kGraceful ladder context
-  /// spans the call. Adds the run's counts into `res` and sets res.seconds
-  /// to the loop's wall time. MultiPmdSwitch calls this on each PMD thread
-  /// and runs the consumers that drain the rings.
+  /// The PMD poll loop: forward the packets of each list `queue` returns
+  /// until it returns null, or all of `packets` in order when `queue` is
+  /// empty, one rx burst at a time, publishing each burst's records into
+  /// `ring` under the configured policy (null: unmonitored). One kGraceful
+  /// ladder context spans the call. Adds the run's counts into `res` and
+  /// sets res.seconds to the whole loop's wall time, including the time
+  /// spent inside `queue`. MultiPmdSwitch calls this once per PMD thread
+  /// per forward_* call and runs the consumers that drain the rings.
   void run_datapath(std::span<const trace::PacketRecord> packets,
-                    std::span<const RxIndexList> queue,
-                    SpscRing<MonitorRecord>* ring, RunResult& res);
+                    const RxSource& queue, SpscRing<MonitorRecord>* ring,
+                    RunResult& res);
 
  private:
   /// Per-run state of the kGraceful ladder (one PMD loop owns one).

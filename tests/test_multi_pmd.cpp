@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
+#include <span>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +25,7 @@ namespace {
 using namespace qmax::vswitch;
 using qmax::trace::CaidaLikeGenerator;
 using qmax::trace::MinSizePacketGenerator;
+using qmax::trace::PacketRecord;
 using qmax::trace::take_packets;
 
 TEST(MultiPmd, ZeroThreadsClampsToOne) {
@@ -117,6 +122,122 @@ TEST(MultiPmd, PerRingOrderIsPreserved) {
   }
 }
 
+TEST(MultiPmd, ChunkBoundariesKeepEveryRecordOnItsRingInOrder) {
+  // Calls that end just before, on and just after an RSS chunk boundary,
+  // and one of several chunks with a short last one, through the
+  // one-monitor and the one-consumer-per-ring pipelines: every record
+  // lands on ring rss(p), in span order, exactly once, and each PMD
+  // forwards exactly the packets of its ring.
+  constexpr std::size_t C = MultiPmdSwitch::kRssChunk;
+  MinSizePacketGenerator gen(1'000, 10);
+  const auto packets = take_packets(gen, 3 * C + 5);
+  std::unordered_map<std::uint64_t, std::size_t> pos;
+  for (std::size_t k = 0; k < packets.size(); ++k) {
+    pos.emplace(packets[k].packet_id, k);
+  }
+  ASSERT_EQ(pos.size(), packets.size());
+  for (const std::size_t pmds : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{3}, std::size_t{5}}) {
+    MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = pmds});
+    sw.install_default_rules();
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, C - 1, C, C + 1, 3 * C + 5}) {
+      const auto span = std::span<const PacketRecord>(packets).first(len);
+      for (const bool sharded : {false, true}) {
+        // Either way ring i has one consumer, so per-ring state is
+        // single-writer.
+        std::vector<std::size_t> next(pmds, 0);  // lowest span index allowed
+        std::vector<std::uint64_t> per_ring(pmds, 0);
+        auto check = [&](std::size_t ring, const MonitorRecord& r) {
+          const std::size_t k = pos.at(r.packet_id);
+          ASSERT_LT(k, len) << "record from outside the call's span";
+          ASSERT_EQ(ring, sw.rss(packets[k])) << "record on the wrong ring";
+          ASSERT_GE(k, next[ring]) << "reordering within ring " << ring;
+          next[ring] = k + 1;
+          ++per_ring[ring];
+        };
+        const MultiRunResult res = sharded ? sw.forward_sharded(span, check)
+                                           : sw.forward_monitored(span, check);
+        const char* mode = sharded ? "forward_sharded" : "forward_monitored";
+        std::uint64_t delivered = 0;
+        std::uint64_t forwarded = 0;
+        for (std::size_t i = 0; i < pmds; ++i) {
+          EXPECT_EQ(res.per_pmd[i].packets, per_ring[i])
+              << mode << ", " << pmds << " PMDs, length " << len;
+          delivered += per_ring[i];
+          forwarded += res.per_pmd[i].forwarded;
+        }
+        EXPECT_EQ(delivered, len) << mode << ", " << pmds << " PMDs";
+        EXPECT_EQ(forwarded, len) << mode << ", " << pmds << " PMDs";
+        EXPECT_EQ(res.total_drained(), len) << mode << ", " << pmds << " PMDs";
+      }
+    }
+  }
+}
+
+TEST(MultiPmd, OneHotFlowLeavesTheOtherPmdsIdle) {
+  // Every packet belongs to one flow, so every chunk sends all its
+  // packets to one queue: the other PMDs find nothing in any chunk and
+  // must return with zero counts, not wait for work that never comes.
+  constexpr std::size_t C = MultiPmdSwitch::kRssChunk;
+  MinSizePacketGenerator gen(1'000, 11);
+  std::vector<PacketRecord> packets(3 * C + 5, gen.next());
+  for (std::size_t k = 0; k < packets.size(); ++k) packets[k].packet_id = k;
+  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 3});
+  sw.install_default_rules();
+  const std::size_t hot = sw.rss(packets[0]);
+  auto expect_one_busy = [&](const MultiRunResult& res, const char* mode) {
+    for (std::size_t i = 0; i < sw.pmd_count(); ++i) {
+      const std::uint64_t want = i == hot ? packets.size() : 0;
+      EXPECT_EQ(res.per_pmd[i].packets, want) << mode << ", PMD " << i;
+      EXPECT_EQ(res.per_pmd[i].forwarded, want) << mode << ", PMD " << i;
+    }
+  };
+  expect_one_busy(sw.forward(packets), "forward");
+  std::atomic<std::uint64_t> seen{0};
+  auto count_hot = [&](std::size_t ring, const MonitorRecord&) {
+    EXPECT_EQ(ring, hot);
+    seen.fetch_add(1, std::memory_order_relaxed);
+  };
+  expect_one_busy(sw.forward_monitored(packets, count_hot),
+                  "forward_monitored");
+  expect_one_busy(sw.forward_sharded(packets, count_hot), "forward_sharded");
+  EXPECT_EQ(seen.load(), 2 * packets.size());
+}
+
+TEST(MultiPmd, PmdSecondsCoverTheWholeLoop) {
+  // A PMD runs one poll loop per call, however many chunks it forwards,
+  // so RunResult::seconds spans all of them. The consumer holds its first
+  // callback for 200 ms over a four-chunk call whose rings hold far fewer
+  // records than each PMD sends: the PMD that sent that record started
+  // before the hold and cannot finish before it ends, so its seconds
+  // cover the hold (a loop timed per chunk would report only the last
+  // chunk's few milliseconds), and no PMD outlasts the call.
+  constexpr std::size_t C = MultiPmdSwitch::kRssChunk;
+  MultiPmdSwitch sw(MultiPmdConfig{.pmd_threads = 2,
+                                   .per_pmd = {.ring_capacity = 1024}});
+  sw.install_default_rules();
+  MinSizePacketGenerator gen(1'000, 12);
+  const auto packets = take_packets(gen, 4 * C);
+  bool held = false;  // monitor thread only
+  const MultiRunResult res = sw.forward_monitored(
+      packets, [&](std::size_t, const MonitorRecord&) {
+        if (!held) {
+          held = true;
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+      });
+  ASSERT_TRUE(held);
+  const RunResult* stalled = &res.per_pmd[0];
+  for (const RunResult& r : res.per_pmd) {
+    EXPECT_GT(r.packets, 2 * 1024u) << "each PMD must outrun its ring";
+    EXPECT_LE(r.seconds, res.seconds) << "a PMD outlasted its call";
+    if (r.seconds > stalled->seconds) stalled = &r;
+  }
+  EXPECT_GE(stalled->seconds, 0.2) << "PMD time lost the consumer's hold";
+  EXPECT_GT(stalled->backpressure_stalls, 0u);
+}
+
 TEST(MultiPmd, OneSwitchRunsEveryModeBackToBack) {
   // Rings and index lists are owned by the switch and reused across
   // calls of every shape; each call must still deliver every record
@@ -126,7 +247,7 @@ TEST(MultiPmd, OneSwitchRunsEveryModeBackToBack) {
   MinSizePacketGenerator gen(5'000, 8);
   const auto packets = take_packets(gen, 45'000);
   for (int round = 0; round < 2; ++round) {
-    // A slice of a different length each round moves every slice boundary.
+    // A slice of a different length each round moves every chunk boundary.
     const auto span = std::span<const qmax::trace::PacketRecord>(packets)
                           .subspan(static_cast<std::size_t>(round) * 1'001);
     std::mutex mu;

@@ -122,12 +122,6 @@ TEST(NwhhWire, BodyCodecRejectsTrailingBytes) {
   body.push_back(0xAA);
   Cursor padded(body);
   EXPECT_THROW(decode_report_body(padded), std::runtime_error);
-
-  // ... unless the caller explicitly opts out (embedded contexts where
-  // the cursor continues into unrelated data).
-  Cursor lax(body);
-  EXPECT_EQ(decode_report_body(lax, /*expect_end=*/false).size(), 5u);
-  EXPECT_EQ(lax.remaining(), 1u);
 }
 
 TEST(NwhhWire, SerializedCollectionMatchesLocal) {
